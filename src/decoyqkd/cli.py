@@ -12,7 +12,6 @@ output_path, the DECOYQKD_OUT_DIR environment variable, ./out.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -21,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import AttackSpec, SessionPublic, analytic_variance_report, simulate_session
+from .attacks import AttackSpec, analytic_variance_report, simulate_session
 from .channel import ProtocolConfig
 from .estimator import (
     InfeasibleSessionError,
@@ -34,6 +33,7 @@ from .harness import (
     ExperimentConfig,
     artifact_meta,
     load_config,
+    load_session,
     write_csv_artifact,
     write_json_artifact,
 )
@@ -126,10 +126,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
 
 def cmd_estimate(cfg: ExperimentConfig, out: Path, session_path: str | None) -> int:
     if session_path is not None:
-        doc = json.loads(Path(session_path).read_text())
-        pub = doc["session"]["public"]
-        public = SessionPublic(K=pub["K"], K_i=tuple(pub["K_i"]), D_iE=tuple(pub["D_iE"]),
-                               D_E=pub["D_E"], F_E=pub["F_E"])
+        public = load_session(session_path)
     else:
         public = simulate_session(cfg.protocol, cfg.attack, RngStream(cfg.seed, 0)).public()
     result = estimate_session(public, cfg.protocol, cfg.eps_dsp, cfg.key_params)

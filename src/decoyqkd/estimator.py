@@ -265,13 +265,9 @@ def _relative_residual(x, Q, A, D_i, D_E, K, cap_total) -> float:
     """Worst constraint violation, scaled by the constraint magnitude."""
     x = np.asarray(x, dtype=float)
     d = x * x
-    up = Q @ d + A @ x
-    lo = Q @ d - A @ x
-    res = 0.0
-    for i in range(len(D_i)):
-        s = max(abs(D_i[i]), 1.0)
-        res = max(res, (D_i[i] - up[i]) / s, (lo[i] - D_i[i]) / s)
-    res = max(res, (d.max() - K) / max(K, 1.0))
+    s = np.maximum(np.abs(D_i), 1.0)
+    res = max(0.0, float(np.max((D_i - (Q @ d + A @ x)) / s)),
+              float(np.max((Q @ d - A @ x - D_i) / s)), (d.max() - K) / max(K, 1.0))
     if cap_total:
         res = max(res, (d.sum() - D_E) / max(D_E, 1.0))
     return res
@@ -289,11 +285,14 @@ def minimize_detection_count(public, config: ProtocolConfig, budget: EpsilonBudg
 
     plus d_n <= K and (cap_total, default on) sum_n d_n <= D_E, a valid
     tightening since unseen classes contribute nonnegative detections.
-    Deterministic multi-start SLSQP from a fixed 8-point grid; accepted
-    solutions satisfy the constraints within 1e-8 relative.  Raises
-    InfeasibleSessionError when the region is provably empty; falls back to
-    the conservative d_target = 0 with status "max_iterations" when the
-    solver fails without an infeasibility certificate.
+    All bands (and the cap) form one vector constraint, quadratic in x,
+    with an analytic Jacobian.  Deterministic multi-start SLSQP from a fixed
+    8-point grid; accepted solutions satisfy the constraints within 1e-8
+    relative.  When no start yields one, L-BFGS-B minimizes the squared
+    violation of the same constraint with its exact gradient: if that
+    still leaves a residual above 1e-6, InfeasibleSessionError is raised
+    (protocol abort); otherwise the result is the conservative d_target = 0
+    with status "max_iterations".
     """
     if target not in range(config.n_max + 1):
         raise ValueError(f"target class must lie in 0..{config.n_max}, got {target}")
@@ -327,29 +326,20 @@ def minimize_detection_count(public, config: ProtocolConfig, budget: EpsilonBudg
         g[target] = 2.0 * X[target]
         return g
 
-    def make_upper(i):
-        def g(X):
-            return float(Q[i] @ (X * X) + a[i] @ X - b[i])
+    # every band in one vector constraint con(X) = G @ X^2 + H @ X + g0 >= 0:
+    # S upper bands, S lower bands, then the total cap when it is enforced
+    m = 2 * len(D_i) + int(cap_total)
+    G = np.vstack([Q, -Q, -np.ones((1, N))])[:m]
+    H = np.vstack([a, a, np.zeros((1, N))])[:m]
+    g0 = np.concatenate([-b, b, [1.0]])[:m]
 
-        def jac(X):
-            return 2.0 * Q[i] * X + a[i]
+    def con(X):
+        return G @ (X * X) + H @ X + g0
 
-        return {"type": "ineq", "fun": g, "jac": jac}
+    def con_jac(X):
+        return 2.0 * G * X + H
 
-    def make_lower(i):
-        def g(X):
-            return float(b[i] - Q[i] @ (X * X) + a[i] @ X)
-
-        def jac(X):
-            return -2.0 * Q[i] * X + a[i]
-
-        return {"type": "ineq", "fun": g, "jac": jac}
-
-    cons = [make_upper(i) for i in range(len(D_i))] + [make_lower(i) for i in range(len(D_i))]
-    if cap_total:
-        cons.append({"type": "ineq",
-                     "fun": lambda X: 1.0 - float(X @ X),
-                     "jac": lambda X: -2.0 * X})
+    cons = {"type": "ineq", "fun": con, "jac": con_jac}
     bounds = [(0.0, Xcap)] * N
 
     best: tuple[float, np.ndarray] | None = None
@@ -378,14 +368,12 @@ def minimize_detection_count(public, config: ProtocolConfig, budget: EpsilonBudg
 
     # no feasible local solution: look for any feasible point before declaring abort
     def infeas(X):
-        viol = 0.0
-        for c in cons:
-            viol += min(0.0, c["fun"](X)) ** 2
-        return viol
+        v = np.minimum(con(X), 0.0)
+        return float(v @ v), 2.0 * v @ con_jac(X)
 
     worst = math.inf
     for x0 in _start_points(config, target, D_E, x_cap):
-        sol = _opt.minimize(infeas, x0 / scale, bounds=bounds, method="L-BFGS-B",
+        sol = _opt.minimize(infeas, x0 / scale, jac=True, bounds=bounds, method="L-BFGS-B",
                             options={"maxiter": 500})
         X = np.clip(sol.x, 0.0, Xcap)
         worst = min(worst, _relative_residual(X * scale, Q, A, D_i, D_E, config.K, cap_total))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .attacks import AttackSpec
+from .attacks import AttackSpec, SessionPublic
 from .channel import ChannelParams, ProtocolConfig, SourceSpec
 from .estimator import KeyRateParams
 
@@ -22,6 +22,7 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "load_config",
+    "load_session",
     "config_from_dict",
     "config_to_dict",
     "config_hash",
@@ -151,20 +152,62 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return d
 
 
-def load_config(path) -> ExperimentConfig:
-    """Parse and validate a config file; errors carry line/column or the invariant."""
+def _read_json(path, what: str):
+    """Parse a JSON file; errors carry line/column."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+
+
+def load_config(path) -> ExperimentConfig:
+    """Parse and validate a config file; errors carry line/column or the invariant."""
+    raw = _read_json(path, "config")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
     try:
         return config_from_dict(raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _count(value, field: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError(f"{field} must be a nonnegative integer, got {value!r}")
+    return value
+
+
+def load_session(path) -> SessionPublic:
+    """Read the public transcript ``session.public`` from a JSON file.
+
+    Accepts the files written by ``simulate`` (other sections are ignored);
+    a missing or unknown key, a non-integer or negative count, or per-source
+    lists of unequal length raise ConfigError naming the field.
+    """
+    node = _read_json(path, "transcript")
+    try:
+        for key, context in (("session", "transcript"), ("public", "session")):
+            if not isinstance(node, dict):
+                raise ConfigError(f"{context} must be an object")
+            node = _require(node, key, context)
+        context = "session.public"
+        if not isinstance(node, dict):
+            raise ConfigError(f"{context} must be an object")
+        _check_keys(node, {"K", "K_i", "D_iE", "D_E", "F_E"}, context)
+        fields = {key: _count(_require(node, key, context), f"{context}.{key}")
+                  for key in ("K", "D_E", "F_E")}
+        for key in ("K_i", "D_iE"):
+            values = _require(node, key, context)
+            if not isinstance(values, list):
+                raise ConfigError(f"{context}.{key} must be a list, got {values!r}")
+            fields[key] = tuple(_count(v, f"{context}.{key}[{j}]") for j, v in enumerate(values))
+        if len(fields["K_i"]) != len(fields["D_iE"]):
+            raise ConfigError(f"{context}.K_i and {context}.D_iE differ in length")
+        return SessionPublic(**fields)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

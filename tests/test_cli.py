@@ -157,6 +157,24 @@ class TestErrorPaths:
         assert d1["meta"]["seed"] == 99 and d2["meta"]["seed"] == 11
         assert d1["session"] != d2["session"]
 
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda doc: doc["session"]["public"].pop("K_i"), "'K_i'"),
+        (lambda doc: doc["session"].pop("public"), "'public'"),
+        (lambda doc: doc["session"]["public"].update(D_E="1000"), "session.public.D_E"),
+        (lambda doc: doc["session"]["public"]["D_iE"].append(-1), "session.public.D_iE[3]"),
+    ], ids=["missing-K_i", "missing-public", "string-count", "negative-count"])
+    def test_malformed_session_file(self, mutate, field, config_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        main(["simulate", "--config", str(config_path), "--out", str(out)])
+        doc = json.loads((out / "session.json").read_text())
+        mutate(doc)
+        bad = tmp_path / "bad_session.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["estimate", "--config", str(config_path), "--out", str(out), "--session", str(bad)])
+        assert rc == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+
     def test_env_output_dir(self, config_path, tmp_path, monkeypatch):
         envdir = tmp_path / "envout"
         monkeypatch.setenv("DECOYQKD_OUT_DIR", str(envdir))

@@ -1,6 +1,7 @@
 """Tests for the estimation procedures: budgets, bounds, solver, baselines."""
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from decoyqkd import (
     total_upper_bound,
     total_yield,
 )
+from decoyqkd.harness import load_config
 
 BRIGHT_TRIO = (SourceSpec("U", 0.0, 0.1), SourceSpec("V", 0.1, 0.3), SourceSpec("W", 0.5, 0.6))
 BRIGHT_CH = ChannelParams(eta=0.1, y0=1e-5)
@@ -361,6 +363,92 @@ class TestEstimateSession:
         res = estimate_session(s.public(), cfg, 0.01)
         doc = json.dumps(res.to_dict())
         assert "eps_bar" in doc and "solver_status" in doc
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+# Certified values of seeded sessions on the shipped configs, pinned at 1e-9
+# relative (1e-9 detections absolute for the near-zero d0*): a solver change
+# that moves any certificate fails here.  Columns:
+# config, attack kind ("tampered" = vacuum source inflated 10x), stream id,
+# d0*, d1*, f0*, f1*, key length, solver status.
+GOLDEN = [
+    ("bright", "block_correlated", 0, 38.14660934009842, 14755.935952298778, 0.0,
+     7136.2806648707265, 3007.7583653074153, "optimal"),
+    ("bright", "block_correlated", 1, 2.607912214642384e-18, 13806.468391122422, 0.0,
+     6589.503517137108, 2520.2554068006843, "optimal"),
+    ("bright", "block_correlated", 2, 0.0, 16593.396223397463, 0.0,
+     8060.526217804018, 3729.7641975237584, "optimal"),
+    ("bright", "none", 0, 2.028706514492506, 15300.756721218724, 0.0,
+     7413.4937083467585, 3196.1193481306586, "optimal"),
+    ("bright", "none", 1, 0.9559796913259164, 14975.415796998162, 0.0,
+     7266.007780938369, 3119.2264609645936, "optimal"),
+    ("bright", "none", 2, 0.2547651117552141, 16482.062851299153, 0.0,
+     7925.379040269118, 3670.109839715115, "optimal"),
+    ("bright", "tampered", 0, 0.0, 0.0, 0.0, 0.0, 0.0, "infeasible"),
+    ("fig1", "block_correlated", 0, 6710.896272563262, 2408569.099439588, 2881.209870075465,
+     1198102.297398154, 560582.1850561935, "optimal"),
+    ("fig1", "block_correlated", 1, 6189.899326596696, 2407409.006945923, 2638.418147126184,
+     1197092.1565958643, 559892.5690217536, "optimal"),
+    ("fig1", "block_correlated", 2, 6667.242053036568, 2503980.618172424, 2861.5680315937466,
+     1246043.4083027286, 594506.4011554421, "optimal"),
+    ("fig1", "none", 0, 5760.737952385961, 2481075.299819177, 2441.489116345788,
+     1234608.025441401, 586139.0420632237, "optimal"),
+    ("fig1", "none", 1, 6319.553772977387, 2458655.2675776314, 2698.387407242689,
+     1222641.7790021978, 576990.5695159071, "optimal"),
+    ("fig1", "none", 2, 6623.630066068861, 2474760.9105306533, 2839.3831358296206,
+     1230666.46914949, 583654.5378928414, "optimal"),
+    ("fig1", "tampered", 0, 0.0, 0.0, 0.0, 0.0, 0.0, "infeasible"),
+]
+
+
+def _golden_public(cfg, kind: str, stream: int) -> SessionPublic:
+    attack = AttackSpec("block_correlated", 10) if kind == "block_correlated" else AttackSpec("none")
+    pub = simulate_session(cfg.protocol, attack, RngStream(cfg.seed, stream)).public()
+    if kind != "tampered":
+        return pub
+    # no split of the photon classes explains this many vacuum-source clicks
+    add = int(10.0 * max(pub.D_E - pub.D_iE[0], 100))
+    return SessionPublic(K=pub.K, K_i=pub.K_i, D_iE=(pub.D_iE[0] + add,) + pub.D_iE[1:],
+                         D_E=pub.D_E + add, F_E=pub.F_E)
+
+
+@pytest.fixture(scope="module")
+def golden_sessions():
+    cfgs = {name: load_config(REPO / "configs" / f"{name}.json") for name in ("bright", "fig1")}
+    return [(row, cfgs[row[0]], _golden_public(cfgs[row[0]], row[1], row[2])) for row in GOLDEN]
+
+
+class TestCertifiedValues:
+    def test_golden_certificates(self, golden_sessions):
+        for row, cfg, pub in golden_sessions:
+            r = estimate_session(pub, cfg.protocol, cfg.eps_dsp, cfg.key_params)
+            got = (r.d0_star, r.d1_star, r.f0_star, r.f1_star, r.key_length)
+            assert got == pytest.approx(row[3:8], rel=1e-9, abs=1e-9), row[:3]
+            assert r.solver_status == row[8], row[:3]
+
+    def test_optimum_inside_every_envelope(self, golden_sessions):
+        # the minimizer's stacked constraints must agree with the scalar
+        # envelope definitions at every optimum it reports
+        checked = 0
+        for row, cfg, pub in golden_sessions:
+            if row[8] != "optimal":
+                continue
+            budget = build_epsilon_budget(cfg.eps_dsp, cfg.protocol.n_max, len(cfg.protocol.sources))
+            q = np.array([source_posteriors(n, cfg.protocol.sources)
+                          for n in range(cfg.protocol.n_max + 1)])
+            for target in (0, 1):
+                r = minimize_detection_count(pub, cfg.protocol, budget, target)
+                assert r.status == "optimal"
+                d = r.x * r.x
+                for i, D in enumerate(pub.D_iE):
+                    params = [(d[n], BoundParams(q[n, i], budget.c_n[n]))
+                              for n in range(len(d)) if q[n, i] > 0]
+                    tol = 1e-8 * max(D, 1.0)
+                    assert sum(share_upper_bound(dn, p) for dn, p in params) >= D - tol, (row[:3], i)
+                    assert sum(share_lower_bound(dn, p) for dn, p in params) <= D + tol, (row[:3], i)
+                checked += 1
+        assert checked == 24
 
 
 class TestIidBaseline:
