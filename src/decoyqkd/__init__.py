@@ -12,10 +12,8 @@ __version__ = "0.1.0"
 
 from .stats import (
     RngStream,
-    TailBoundParams,
     as_generator,
     binary_entropy,
-    binomial_sample,
     chernoff_binomial_tail_bound,
     chernoff_multiplier,
     poisson_pmf,
@@ -29,7 +27,6 @@ from .channel import (
     default_n_max,
     photon_number_pmf,
     photon_yield,
-    source_posterior,
     source_posteriors,
     total_yield,
 )
@@ -41,7 +38,6 @@ from .attacks import (
     VarianceReport,
     analytic_variance_report,
     attack_detections,
-    dark_count_block_moments,
     sample_photon_counts,
     sift,
     simulate_session,

@@ -33,7 +33,6 @@ __all__ = [
     "sift",
     "simulate_session",
     "analytic_variance_report",
-    "dark_count_block_moments",
 ]
 
 ATTACK_KINDS = ("none", "iid", "block_correlated", "custom")
@@ -311,23 +310,3 @@ def analytic_variance_report(config: ProtocolConfig, tau: int) -> VarianceReport
     }
     return VarianceReport(tau=int(tau), labels=config.labels, sigma_i=sigma_i, var_ni=var_ni,
                           config_snapshot=snapshot)
-
-
-def dark_count_block_moments(K_U: int, y0: float, tau: int) -> tuple[float, float]:
-    """Exact mean and variance of the dark-count total under the block attack.
-
-    Blocks of tau^2 vacuum pulses are detected all-or-nothing; the mean is
-    y0 K_U regardless of tau and the variance is tau^2 y0 (1 - y0) K_U in
-    the divisible case (remainder pulses, if any, contribute i.i.d.).
-    """
-    if tau < 1:
-        raise ValueError(f"tau must be >= 1, got {tau}")
-    if not 0.0 <= y0 <= 1.0:
-        raise ValueError(f"y0 must lie in [0, 1], got {y0}")
-    tau2 = tau * tau
-    if tau2 > K_U:
-        raise ValueError(f"block size tau^2 = {tau2} exceeds the pulse count {K_U}")
-    blocks, rem = divmod(int(K_U), tau2)
-    mean = y0 * K_U
-    var = y0 * (1.0 - y0) * (tau2 * tau2 * blocks + rem)
-    return mean, var

@@ -24,7 +24,6 @@ __all__ = [
     "photon_yield",
     "total_yield",
     "photon_number_pmf",
-    "source_posterior",
     "source_posteriors",
     "default_n_max",
     "UndefinedPosteriorError",
@@ -136,15 +135,6 @@ def source_posteriors(n: int, sources) -> np.ndarray:
         raise UndefinedPosteriorError(f"no source assigns mass to photon number {n}")
     w = np.exp(logw - top)
     return w / w.sum()
-
-
-def source_posterior(n: int, label: str, sources) -> float:
-    """Posterior probability that an n-photon pulse came from the labeled source."""
-    sources = validate_sources(sources)
-    for j, s in enumerate(sources):
-        if s.label == label:
-            return float(source_posteriors(n, sources)[j])
-    raise KeyError(f"unknown source label {label!r}")
 
 
 def _tail_mass(n: int, sources) -> float:

@@ -136,7 +136,7 @@ class BoundParams:
     c_n = sqrt(2 L_n) and b_n = L_n/3 make this the Bernstein envelope, whose
     per-side miss probability is at most e^-L_n for every d.  At q = 1 the
     share is the whole class, so neither term applies and both bounds
-    collapse to the identity.
+    collapse to the identity (see _envelope).
     """
 
     q: float
@@ -151,24 +151,44 @@ class BoundParams:
         if not self.b >= 0.0:
             raise ValueError(f"offset must be >= 0, got {self.b}")
 
-    @property
-    def offset(self) -> float:
-        """The offset b where the share can deviate (q < 1), else 0."""
-        return self.b if self.q < 1.0 else 0.0
+
+def _envelope(q, c, b):
+    """The one definition of the confidence envelope, elementwise.
+
+    Returns (q, a, beta) such that a share of a class with total d lies in
+    q d +/- (a sqrt(d) + beta): a = c sqrt(q(1-q)), and beta = b only where
+    0 < q < 1.  At q = 1 the share is the whole class and at q = 0 it is
+    empty, so neither deviates.  Scalars and arrays (c and b broadcast
+    against q) alike.
+    """
+    a = c * np.sqrt(q * (1.0 - q))
+    beta = np.where((q > 0.0) & (q < 1.0), b, 0.0)
+    return q, a, beta
+
+
+def _root(q, a, r):
+    """Nonnegative root z of q z^2 + a z = r (q > 0), elementwise.
+
+    A positive a inverts the upper band q z^2 + a z, a negative one the
+    lower band q z^2 - |a| z; NaN where the lower band never reaches r.
+    """
+    return (-a + np.sqrt(a * a + 4.0 * q * r)) / (2.0 * q)
 
 
 def share_upper_bound(total: float, p: BoundParams) -> float:
     """Upper envelope of the per-source share of a class total: q d + c sqrt(q(1-q)d) + b."""
     if total < 0:
         raise ValueError(f"count must be >= 0, got {total}")
-    return p.q * total + p.c * math.sqrt(p.q * (1.0 - p.q) * total) + p.offset
+    q, a, beta = _envelope(p.q, p.c, p.b)
+    return float(q * total + a * math.sqrt(total) + beta)
 
 
 def share_lower_bound(total: float, p: BoundParams) -> float:
     """Lower envelope of the per-source share: q d - c sqrt(q(1-q)d) - b."""
     if total < 0:
         raise ValueError(f"count must be >= 0, got {total}")
-    return p.q * total - p.c * math.sqrt(p.q * (1.0 - p.q) * total) - p.offset
+    q, a, beta = _envelope(p.q, p.c, p.b)
+    return float(q * total - a * math.sqrt(total) - beta)
 
 
 def total_lower_bound(share: float, p: BoundParams) -> float:
@@ -180,10 +200,9 @@ def total_lower_bound(share: float, p: BoundParams) -> float:
     """
     if share < 0:
         raise ValueError(f"count must be >= 0, got {share}")
-    cs = p.c * math.sqrt(p.q * (1.0 - p.q))
-    rest = max(share - p.offset, 0.0)
-    root = (-cs + math.sqrt(cs * cs + 4.0 * p.q * rest)) / (2.0 * p.q)
-    return root * root
+    q, a, beta = _envelope(p.q, p.c, p.b)
+    z = _root(q, a, max(share - beta, 0.0))
+    return float(z * z)
 
 
 def total_upper_bound(share: float, p: BoundParams) -> float:
@@ -195,9 +214,9 @@ def total_upper_bound(share: float, p: BoundParams) -> float:
     """
     if share < 0:
         raise ValueError(f"count must be >= 0, got {share}")
-    cs = p.c * math.sqrt(p.q * (1.0 - p.q))
-    root = (cs + math.sqrt(cs * cs + 4.0 * p.q * (share + p.offset))) / (2.0 * p.q)
-    return root * root
+    q, a, beta = _envelope(p.q, p.c, p.b)
+    z = _root(q, -a, share + beta)
+    return float(z * z)
 
 
 @dataclass(frozen=True)
@@ -239,8 +258,8 @@ def _constraint_matrices(config: ProtocolConfig,
                          budget: EpsilonBudget) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The envelope terms of every (source, class) pair, n <= n_max.
 
-    Q[i, n] = q_n^i, A[i, n] = c_n sqrt(q_n^i (1 - q_n^i)), and beta[i] =
-    sum of b_n over the classes with 0 < q_n^i < 1: source i's share
+    Q[i, n] = q_n^i and A[i, n] = c_n sqrt(q_n^i (1 - q_n^i)) come from
+    _envelope, and beta[i] sums its per-class offsets: source i's share
     envelope is Q[i] @ d +/- (A[i] @ sqrt(d) + beta[i]).  Classes no source
     can emit (vacuum-only source sets) get zero columns: they contribute to
     no constraint and attract no detections.
@@ -257,9 +276,8 @@ def _constraint_matrices(config: ProtocolConfig,
             Q[:, n] = source_posteriors(n, config.sources)
         except UndefinedPosteriorError:
             pass
-    A = budget.c_n[np.newaxis, :N] * np.sqrt(Q * (1.0 - Q))
-    beta = ((Q > 0.0) & (Q < 1.0)) @ budget.b_n[:N]
-    return Q, A, beta
+    Q, A, B = _envelope(Q, budget.c_n[:N], budget.b_n[:N])
+    return Q, A, B @ np.ones(N)  # beta[i]: the row sums of the per-class offsets
 
 
 def _start_points(config: ProtocolConfig, target: int, D_E: float, x_cap: float) -> list[np.ndarray]:
@@ -290,16 +308,31 @@ def _start_points(config: ProtocolConfig, target: int, D_E: float, x_cap: float)
     return out
 
 
-def _relative_residual(x, Q, A, beta, D_i, D_E, K, cap_total) -> float:
-    """Worst constraint violation, scaled by the constraint magnitude."""
+def _band_system(Q, A, beta, D_i, D_E, cap_total):
+    """Every band as one slack vector G @ d + H @ sqrt(d) + g >= 0.
+
+    Rows: the S upper bands Q d + A sqrt(d) + beta - D_i, the S lower bands
+    D_i + beta - Q d + A sqrt(d), then, with cap_total, the total cap
+    D_E - sum(d).  row_scale is each row's magnitude (max(|D_i|, 1), resp.
+    max(D_E, 1)), the unit of the residual gate.
+    """
+    N = Q.shape[1]
+    m = 2 * len(D_i) + int(cap_total)
+    G = np.vstack([Q, -Q, -np.ones((1, N))])[:m]
+    H = np.vstack([A, A, np.zeros((1, N))])[:m]
+    g = np.concatenate([beta - D_i, D_i + beta, [D_E]])[:m]
+    s = np.maximum(np.abs(D_i), 1.0)
+    row_scale = np.concatenate([s, s, [max(D_E, 1.0)]])[:m]
+    return G, H, g, row_scale
+
+
+def _relative_residual(x, system, K) -> float:
+    """Worst violation of the band system (and of d_n <= K), relative to each row's scale."""
+    G, H, g, row_scale = system
     x = np.asarray(x, dtype=float)
     d = x * x
-    s = np.maximum(np.abs(D_i), 1.0)
-    res = max(0.0, float(np.max((D_i - (Q @ d + A @ x + beta)) / s)),
-              float(np.max((Q @ d - A @ x - beta - D_i) / s)), (d.max() - K) / max(K, 1.0))
-    if cap_total:
-        res = max(res, (d.sum() - D_E) / max(D_E, 1.0))
-    return res
+    slack = G @ d + H @ x + g
+    return max(0.0, float(np.max(-slack / row_scale)), (d.max() - K) / max(K, 1.0))
 
 
 def minimize_detection_count(public, config: ProtocolConfig, budget: EpsilonBudget,
@@ -331,10 +364,10 @@ def minimize_detection_count(public, config: ProtocolConfig, budget: EpsilonBudg
     if len(D_i) != len(config.sources):
         raise ValueError("transcript and config disagree on the number of sources")
     D_E = float(public.D_E)
-    Q, A, beta = _constraint_matrices(config, budget)
+    system = _band_system(*_constraint_matrices(config, budget), D_i, D_E, cap_total)
     if D_E == 0.0:
         x0 = np.zeros(config.n_max + 1)
-        res = _relative_residual(x0, Q, A, beta, D_i, D_E, config.K, cap_total)
+        res = _relative_residual(x0, system, config.K)
         if res > 1e-8:
             raise InfeasibleSessionError("empty transcript is outside the confidence bands")
         return MinimizationResult(0.0, x0, "optimal", res)
@@ -343,28 +376,23 @@ def minimize_detection_count(public, config: ProtocolConfig, budget: EpsilonBudg
     scale = math.sqrt(D_E)
     x_cap = math.sqrt(min(float(config.K), D_E) if cap_total else float(config.K))
 
-    # scaled units: X = x / sqrt(D_E); dividing the constraints by D_E gives
-    # Q @ X^2 +/- (A / sqrt(D_E)) @ X compared against (D_i -/+ beta) / D_E
-    a = A / scale
+    # scaled units: X = x / sqrt(D_E); dividing the band system by D_E gives
+    # con(X) = G @ X^2 + (H / sqrt(D_E)) @ X + g / D_E >= 0
+    G, H, g, _ = system
+    H = H / scale
+    g = g / D_E
     Xcap = x_cap / scale
 
     def obj(X):
         return X[target] * X[target]
 
     def obj_jac(X):
-        g = np.zeros(N)
-        g[target] = 2.0 * X[target]
-        return g
-
-    # every band in one vector constraint con(X) = G @ X^2 + H @ X + g0 >= 0:
-    # S upper bands, S lower bands, then the total cap when it is enforced
-    m = 2 * len(D_i) + int(cap_total)
-    G = np.vstack([Q, -Q, -np.ones((1, N))])[:m]
-    H = np.vstack([a, a, np.zeros((1, N))])[:m]
-    g0 = np.concatenate([(beta - D_i) / D_E, (D_i + beta) / D_E, [1.0]])[:m]
+        grad = np.zeros(N)
+        grad[target] = 2.0 * X[target]
+        return grad
 
     def con(X):
-        return G @ (X * X) + H @ X + g0
+        return G @ (X * X) + H @ X + g
 
     def con_jac(X):
         return 2.0 * G * X + H
@@ -377,7 +405,7 @@ def minimize_detection_count(public, config: ProtocolConfig, budget: EpsilonBudg
     def consider(X):
         nonlocal best
         X = np.clip(X, 0.0, Xcap)
-        res = _relative_residual(X * scale, Q, A, beta, D_i, D_E, config.K, cap_total)
+        res = _relative_residual(X * scale, system, config.K)
         if res <= 1e-8:
             val = obj(X)
             if best is None or val < best[0]:
@@ -394,7 +422,7 @@ def minimize_detection_count(public, config: ProtocolConfig, budget: EpsilonBudg
         X = best[1]
         x = X * scale
         return MinimizationResult(float(x[target] ** 2), x, "optimal",
-                                  _relative_residual(x, Q, A, beta, D_i, D_E, config.K, cap_total))
+                                  _relative_residual(x, system, config.K))
 
     # no feasible local solution: look for any feasible point before declaring abort
     def infeas(X):
@@ -406,7 +434,7 @@ def minimize_detection_count(public, config: ProtocolConfig, budget: EpsilonBudg
         sol = _opt.minimize(infeas, x0 / scale, jac=True, bounds=bounds, method="L-BFGS-B",
                             options={"maxiter": 500})
         X = np.clip(sol.x, 0.0, Xcap)
-        worst = min(worst, _relative_residual(X * scale, Q, A, beta, D_i, D_E, config.K, cap_total))
+        worst = min(worst, _relative_residual(X * scale, system, config.K))
     if worst > 1e-6:
         raise InfeasibleSessionError(
             f"no detection counts satisfy the confidence bands (best residual {worst:.3e})")
@@ -427,18 +455,14 @@ def _target_axis_window(z_cap: float, qt: float, at: float, r_up: np.ndarray,
         z_min = np.where(r_up > 0.0, np.inf, 0.0)
         z_max = np.where(r_lo < 0.0, -np.inf, z_cap)
         return z_min, z_max
-    z_min = np.where(
-        r_up > 0.0,
-        (-at + np.sqrt(at * at + 4.0 * qt * np.clip(r_up, 0.0, None))) / (2.0 * qt),
-        0.0,
-    )
-    disc = at * at + 4.0 * qt * r_lo
-    neg = disc < 0.0
-    sq = np.sqrt(np.clip(disc, 0.0, None))
-    z_hi = (at + sq) / (2.0 * qt)
-    z_lo = np.where(r_lo < 0.0, (at - sq) / (2.0 * qt), 0.0)
-    z_min = np.maximum(z_min, z_lo)
-    z_max = np.where(neg, -np.inf, z_hi)
+    z_min = np.where(r_up > 0.0, _root(qt, at, np.clip(r_up, 0.0, None)), 0.0)
+    with np.errstate(invalid="ignore"):
+        z_hi = _root(qt, -at, r_lo)  # NaN where the lower band excludes every z
+    empty = np.isnan(z_hi)
+    # the lower band's smaller root a/q - z_hi is positive only when r_lo < 0
+    z_lo = np.where(r_lo < 0.0, at / qt - z_hi, 0.0)
+    z_min = np.where(empty, np.inf, np.maximum(z_min, z_lo))
+    z_max = np.where(empty, -np.inf, z_hi)
     return z_min, z_max
 
 
@@ -475,8 +499,7 @@ def grid_minimize_detection(public, config: ProtocolConfig, budget: EpsilonBudge
             if Q[i, n] <= 0:
                 continue
             rhs = D_lo[i] - (term_min[i].sum() - term_min[i, n])
-            root = (A[i, n] + math.sqrt(A[i, n] ** 2 + 4.0 * Q[i, n] * max(rhs, 0.0))) / (2.0 * Q[i, n])
-            ub[n] = min(ub[n], root + h)
+            ub[n] = min(ub[n], _root(Q[i, n], -A[i, n], max(rhs, 0.0)) + h)
     lb = np.zeros(N)
     up_max = np.array([[Q[i, n] * ub[n] ** 2 + A[i, n] * ub[n] for n in range(N)] for i in range(nsrc)])
     for n in range(N):
@@ -486,8 +509,7 @@ def grid_minimize_detection(public, config: ProtocolConfig, budget: EpsilonBudge
             rhs = D_up[i] - (up_max[i].sum() - up_max[i, n])
             if rhs <= 0:
                 continue
-            root = (-A[i, n] + math.sqrt(A[i, n] ** 2 + 4.0 * Q[i, n] * rhs)) / (2.0 * Q[i, n])
-            lb[n] = max(lb[n], root - h)
+            lb[n] = max(lb[n], _root(Q[i, n], A[i, n], rhs) - h)
 
     def axis(n):
         lo = math.floor(max(lb[n], 0.0) / h) * h

@@ -26,7 +26,6 @@ __all__ = [
     "config_from_dict",
     "config_to_dict",
     "config_hash",
-    "write_table",
     "write_csv_artifact",
     "write_json_artifact",
 ]
@@ -185,8 +184,9 @@ def load_session(path) -> SessionPublic:
     """Read the public transcript ``session.public`` from a JSON file.
 
     Accepts the files written by ``simulate`` (other sections are ignored);
-    a missing or unknown key, a non-integer or negative count, or per-source
-    lists of unequal length raise ConfigError naming the field.
+    a missing or unknown key, a non-integer or negative count, per-source
+    lists of unequal length, per-source counts that do not sum to K or D_E,
+    or F_E > D_E raise ConfigError naming the field.
     """
     node = _read_json(path, "transcript")
     try:
@@ -207,6 +207,12 @@ def load_session(path) -> SessionPublic:
             fields[key] = tuple(_count(v, f"{context}.{key}[{j}]") for j, v in enumerate(values))
         if len(fields["K_i"]) != len(fields["D_iE"]):
             raise ConfigError(f"{context}.K_i and {context}.D_iE differ in length")
+        for key, total in (("K_i", "K"), ("D_iE", "D_E")):
+            if sum(fields[key]) != fields[total]:
+                raise ConfigError(f"{context}.{key} sums to {sum(fields[key])}, "
+                                  f"not {context}.{total} = {fields[total]}")
+        if fields["F_E"] > fields["D_E"]:
+            raise ConfigError(f"{context}.F_E = {fields['F_E']} exceeds {context}.D_E = {fields['D_E']}")
         return SessionPublic(**fields)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -240,14 +246,21 @@ def _atomic_write(path: Path, data: str) -> None:
         raise OSError(f"failed writing {path}: {exc}") from exc
 
 
-def write_table(rows, schema, path) -> None:
-    """Emit a CSV with a header row and full-precision (17 significant digit) floats.
+def artifact_meta(cfg: ExperimentConfig, seed: int) -> dict:
+    return {"seed": seed, "config_sha256": config_hash(cfg), "tool_version": __version__}
 
-    schema is a sequence of (name, kind) pairs with kind in {int, float, str};
-    rows may be mappings keyed by column name or aligned sequences.  Output is
-    newline-terminated, row order preserved, written atomically.
+
+def write_csv_artifact(rows, schema, path, meta: dict) -> None:
+    """Emit a CSV with '#'-prefixed metadata lines, a header row and full-precision floats.
+
+    meta lines ("# key: value", sorted by key) come first.  schema is a
+    sequence of (name, kind) pairs with kind in {int, float, str}; floats
+    keep 17 significant digits.  rows may be mappings keyed by column name
+    or aligned sequences.  Output is newline-terminated, row order
+    preserved, written atomically.
     """
     path = Path(path)
+    head = "".join(f"# {k}: {meta[k]}\n" for k in sorted(meta))
     names = [name for name, _ in schema]
     kinds = [kind for _, kind in schema]
     for kind in kinds:
@@ -260,26 +273,6 @@ def write_table(rows, schema, path) -> None:
         else:
             if len(row) != len(schema):
                 raise ValueError(f"row length {len(row)} does not match schema ({len(schema)})")
-            cells = [_format_cell(v, kind) for v, kind in zip(row, kinds)]
-        lines.append(",".join(cells))
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def artifact_meta(cfg: ExperimentConfig, seed: int) -> dict:
-    return {"seed": seed, "config_sha256": config_hash(cfg), "tool_version": __version__}
-
-
-def write_csv_artifact(rows, schema, path, meta: dict) -> None:
-    """CSV artifact with '#'-prefixed metadata lines before the header."""
-    path = Path(path)
-    head = "".join(f"# {k}: {meta[k]}\n" for k in sorted(meta))
-    names = [name for name, _ in schema]
-    kinds = [kind for _, kind in schema]
-    lines = [",".join(names)]
-    for row in rows:
-        if isinstance(row, dict):
-            cells = [_format_cell(row[name], kind) for name, kind in schema]
-        else:
             cells = [_format_cell(v, kind) for v, kind in zip(row, kinds)]
         lines.append(",".join(cells))
     _atomic_write(path, head + "\n".join(lines) + "\n")

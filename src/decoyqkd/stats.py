@@ -15,10 +15,8 @@ import numpy as np
 
 __all__ = [
     "RngStream",
-    "TailBoundParams",
     "as_generator",
     "poisson_pmf",
-    "binomial_sample",
     "chernoff_multiplier",
     "chernoff_binomial_tail_bound",
     "binary_entropy",
@@ -69,24 +67,6 @@ def poisson_pmf(n: int, mu: float) -> float:
     return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
 
 
-def binomial_sample(trials: int, p: float, rng) -> int:
-    """One draw from Binomial(trials, p).
-
-    Delegates to numpy's generator, which samples the exact law at any
-    trial count (inversion for small np, exact rejection otherwise), so
-    counts of order 1e10 never require pulse-level loops.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {p}")
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
-    if p == 0.0:
-        return 0
-    if p == 1.0:
-        return int(trials)
-    return int(as_generator(rng).binomial(int(trials), p))
-
-
 def chernoff_multiplier(epsilon: float) -> float:
     """Gaussian-approximation multiplier c = 2*sqrt(|ln epsilon|).
 
@@ -100,29 +80,6 @@ def chernoff_multiplier(epsilon: float) -> float:
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"error probability must lie in (0, 1], got {epsilon}")
     return 2.0 * math.sqrt(abs(math.log(epsilon)))
-
-
-@dataclass(frozen=True)
-class TailBoundParams:
-    """A (multiplier, error probability) pair tied by c = 2*sqrt(|ln epsilon|).
-
-    Build with from_epsilon so the pairing invariant cannot drift.
-    """
-
-    c: float
-    epsilon: float
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"error probability must lie in (0, 1], got {self.epsilon}")
-        expected = chernoff_multiplier(self.epsilon)
-        if abs(self.c - expected) > 1e-12 * max(1.0, expected):
-            raise ValueError(f"multiplier {self.c} does not match epsilon {self.epsilon} "
-                             f"(expected {expected})")
-
-    @classmethod
-    def from_epsilon(cls, epsilon: float) -> "TailBoundParams":
-        return cls(c=chernoff_multiplier(epsilon), epsilon=epsilon)
 
 
 def chernoff_binomial_tail_bound(k: float, n: int, a: float) -> float:

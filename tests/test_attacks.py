@@ -15,7 +15,6 @@ from decoyqkd import (
     SourceSpec,
     analytic_variance_report,
     attack_detections,
-    dark_count_block_moments,
     photon_number_pmf,
     sample_photon_counts,
     sift,
@@ -99,12 +98,6 @@ class TestAttackDetections:
         k = np.array([10, 20, 30, 0, 5, 7])
         d = attack_detections(att, k, BRIGHT_CH, RngStream(3))
         assert np.array_equal(d, k)
-
-    def test_block_exact_variance_arithmetic(self):
-        # tau=10, k=1e6, y=0.5: block construction gives tau^2 y (1-y) k exactly
-        mean, var = dark_count_block_moments(10**6, 0.5, 10)
-        assert mean == 0.5e6
-        assert var == 100 * 0.25 * 10**6
 
     def test_block_tau1_matches_iid(self):
         # distributionally identical at tau=1: two-sample variance ratio test
@@ -316,23 +309,3 @@ class TestVarianceComposition:
         assert abs(lhs - rhs) <= 1e-12
         closed = float(y * (1 - y) * p * K + y * y * p * (1 - p) * K)
         assert abs(lhs - closed) <= 1e-10  # float rounding of the 41x41 pmf entries
-
-
-class TestDarkCountBlocks:
-    def test_tau1_is_binomial(self):
-        mean, var = dark_count_block_moments(10**6, 0.01, 1)
-        assert mean == 10**4
-        np.testing.assert_allclose(var, 0.01 * 0.99 * 10**6, rtol=1e-12)
-
-    @pytest.mark.parametrize("y0", [0.0, 1.0])
-    def test_degenerate_rates(self, y0):
-        _, var = dark_count_block_moments(10**4, y0, 10)
-        assert var == 0.0
-
-    def test_reference_value(self):
-        _, var = dark_count_block_moments(10**6, 0.01, 10)
-        np.testing.assert_allclose(var, 9.9e5, rtol=1e-12)
-
-    def test_oversized_block(self):
-        with pytest.raises(ValueError):
-            dark_count_block_moments(50, 0.1, 10)

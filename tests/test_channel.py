@@ -14,7 +14,6 @@ from decoyqkd import (
     photon_number_pmf,
     photon_yield,
     poisson_pmf,
-    source_posterior,
     source_posteriors,
     total_yield,
 )
@@ -95,12 +94,12 @@ class TestPhotonNumberMix:
 
 class TestSourcePosterior:
     def test_vacuum_source_cannot_emit_photons(self):
-        assert source_posterior(1, "U", TRIO) == 0.0
-        assert source_posterior(4, "U", TRIO) == 0.0
+        assert source_posteriors(1, TRIO)[0] == 0.0
+        assert source_posteriors(4, TRIO)[0] == 0.0
 
     def test_values(self):
-        np.testing.assert_allclose(source_posterior(0, "U", TRIO), 0.016139270139003113, rtol=1e-12)
-        np.testing.assert_allclose(source_posterior(1, "V", TRIO), 0.005542115656444675, rtol=1e-12)
+        np.testing.assert_allclose(source_posteriors(0, TRIO)[0], 0.016139270139003113, rtol=1e-12)
+        np.testing.assert_allclose(source_posteriors(1, TRIO)[1], 0.005542115656444675, rtol=1e-12)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 20, 80])
     def test_normalized(self, n):
@@ -111,14 +110,10 @@ class TestSourcePosterior:
         with pytest.raises(UndefinedPosteriorError):
             source_posteriors(2, only)
 
-    def test_unknown_label(self):
-        with pytest.raises(KeyError):
-            source_posterior(0, "Z", TRIO)
-
     def test_largest_mu_dominates(self):
         # q_n(1-q_n) for the brightest source decays monotonically past a crossover,
         # which is what justifies truncating the photon-number expansion
-        vals = [source_posterior(n, "W", TRIO) for n in range(2, 81)]
+        vals = [source_posteriors(n, TRIO)[2] for n in range(2, 81)]
         spread = [q * (1 - q) for q in vals]
         crossover = int(np.argmax(spread))
         tail = spread[crossover:]

@@ -138,6 +138,11 @@ class TestFigureReproduction:
         assert len({r["tau"] for r in rows}) > 1 and len({r["c"] for r in rows}) > 1
 
 
+def _public(edit):
+    """A transcript mutation that edits session.public in place."""
+    return lambda doc: edit(doc["session"]["public"])
+
+
 class TestErrorPaths:
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -162,7 +167,15 @@ class TestErrorPaths:
         (lambda doc: doc["session"].pop("public"), "'public'"),
         (lambda doc: doc["session"]["public"].update(D_E="1000"), "session.public.D_E"),
         (lambda doc: doc["session"]["public"]["D_iE"].append(-1), "session.public.D_iE[3]"),
-    ], ids=["missing-K_i", "missing-public", "string-count", "negative-count"])
+        (_public(lambda p: p.update(K_i=[p["K_i"][0] + 1, *p["K_i"][1:]])), "session.public.K_i sums"),
+        (_public(lambda p: p.update(D_iE=[p["D_iE"][0] + 1, *p["D_iE"][1:]])), "session.public.D_iE sums"),
+        (_public(lambda p: p.update(F_E=10 * p["D_E"])), "session.public.F_E"),
+        (_public(lambda p: p.update(K=p["K"] + 1, K_i=[p["K_i"][0] + 1, *p["K_i"][1:]])),
+         "session.public.K ="),
+        (_public(lambda p: p.update(K_i=p["K_i"] + [0], D_iE=p["D_iE"] + [0])),
+         "session.public.K_i lists 4 sources"),
+    ], ids=["missing-K_i", "missing-public", "string-count", "negative-count", "K_i-sum", "D_iE-sum",
+            "F_E-above-D_E", "K-differs-from-config", "source-count-differs-from-config"])
     def test_malformed_session_file(self, mutate, field, config_path, tmp_path, capsys):
         out = tmp_path / "o"
         main(["simulate", "--config", str(config_path), "--out", str(out)])

@@ -157,10 +157,10 @@ class TestBoundFunctions:
             assert chernoff_binomial_tail_bound(edge, di, qj) == pytest.approx(math.exp(-L), rel=1e-9)
 
     def test_degenerate_q_one(self):
-        # a class attributed to a single source: both bounds collapse
-        p = BoundParams(q=1.0, c=5.0)
-        assert total_lower_bound(123.0, p) == pytest.approx(123.0, rel=1e-12)
-        assert total_upper_bound(123.0, p) == pytest.approx(123.0, rel=1e-12)
+        # a class attributed to a single source: both bounds collapse, offset included
+        for p in (BoundParams(q=1.0, c=5.0), BoundParams(q=1.0, c=5.0, b=3.0)):
+            assert total_lower_bound(123.0, p) == pytest.approx(123.0, rel=1e-12)
+            assert total_upper_bound(123.0, p) == pytest.approx(123.0, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):

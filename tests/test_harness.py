@@ -13,7 +13,6 @@ from decoyqkd.harness import (
     load_config,
     write_csv_artifact,
     write_json_artifact,
-    write_table,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -132,35 +131,35 @@ SCHEMA = [("tau", "int"), ("sigma", "float"), ("note", "str")]
 class TestWriteTable:
     def test_header_only(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_table([], SCHEMA, path)
+        write_csv_artifact([], SCHEMA, path, {})
         assert path.read_text() == "tau,sigma,note\n"
 
     def test_full_precision_floats(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_table([{"tau": 3, "sigma": 1 / 3, "note": "x"}], SCHEMA, path)
+        write_csv_artifact([{"tau": 3, "sigma": 1 / 3, "note": "x"}], SCHEMA, path, {})
         line = path.read_text().splitlines()[1]
         assert line == "3,0.33333333333333331,x"
 
     def test_sequence_rows(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_table([(1, 0.5, "a"), (2, 0.25, "b")], SCHEMA, path)
+        write_csv_artifact([(1, 0.5, "a"), (2, 0.25, "b")], SCHEMA, path, {})
         assert path.read_text().splitlines()[2] == "2,0.25,b"
 
     def test_deterministic_bytes(self, tmp_path):
         rows = [{"tau": t, "sigma": t / 7, "note": "r"} for t in range(5)]
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_table(rows, SCHEMA, p1)
-        write_table(rows, SCHEMA, p2)
+        write_csv_artifact(rows, SCHEMA, p1, {})
+        write_csv_artifact(rows, SCHEMA, p2, {})
         assert p1.read_bytes() == p2.read_bytes()
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_row_length_mismatch(self, tmp_path):
         with pytest.raises(ValueError, match="row length"):
-            write_table([(1, 0.5)], SCHEMA, tmp_path / "t.csv")
+            write_csv_artifact([(1, 0.5)], SCHEMA, tmp_path / "t.csv", {})
 
     def test_bad_kind(self, tmp_path):
         with pytest.raises(ValueError, match="column kind"):
-            write_table([], [("x", "complex")], tmp_path / "t.csv")
+            write_csv_artifact([], [("x", "complex")], tmp_path / "t.csv", {})
 
 
 class TestArtifacts:
