@@ -25,6 +25,7 @@ from .channel import ProtocolConfig
 from .estimator import (
     InfeasibleSessionError,
     bayes_dark_posterior,
+    check_transcript,
     coverage_probability,
     estimate_session,
 )
@@ -127,12 +128,10 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
 def cmd_estimate(cfg: ExperimentConfig, out: Path, session_path: str | None) -> int:
     if session_path is not None:
         public = load_session(session_path)
-        if public.K != cfg.protocol.K:
-            raise ConfigError(f"{session_path}: session.public.K = {public.K} differs from "
-                              f"the config's protocol.K = {cfg.protocol.K}")
-        if len(public.K_i) != len(cfg.protocol.sources):
-            raise ConfigError(f"{session_path}: session.public.K_i lists {len(public.K_i)} sources, "
-                              f"the config's protocol.sources {len(cfg.protocol.sources)}")
+        try:
+            check_transcript(public, cfg.protocol)
+        except ValueError as exc:
+            raise ConfigError(f"{session_path}: session.public.{exc}") from exc
     else:
         public = simulate_session(cfg.protocol, cfg.attack, RngStream(cfg.seed, 0)).public()
     result = estimate_session(public, cfg.protocol, cfg.eps_dsp, cfg.key_params)

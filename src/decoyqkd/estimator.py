@@ -9,10 +9,11 @@ photon class is binomial with the known posterior q_n^i, which holds for
 any attack because the eavesdropper cannot see the source.
 
 The per-class confidence statements come from one Bernstein envelope,
-q d +/- (sqrt(2 q(1-q) d L) + L/3), and are inverted into quadratic
-constraints on sqrt(d_n); the minimization over that (nonconvex) region is
-done by a deterministic multi-start local solver, validated against an
-exhaustive grid oracle on small cutoffs.
+q d +/- (sqrt(2 q(1-q) d L) + L/3), and become quadratic constraints on
+x_n = sqrt(d_n).  The minimization is convex in d and solved in x by SLSQP;
+a Lagrangian dual bound certifies each result, so the deterministic start
+grid runs past its first start only while the duality gap stays open.  An
+exhaustive grid oracle on n_max = 2 checks the solver independently.
 """
 from __future__ import annotations
 
@@ -43,6 +44,7 @@ __all__ = [
     "grid_minimize_detection",
     "sifted_lower_bound",
     "key_rate",
+    "check_transcript",
     "estimate_session",
     "iid_baseline_estimate",
     "bayes_dark_posterior",
@@ -50,6 +52,11 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
+# minimizer gates: band violations relative to each row's scale (_band_system),
+# the duality gap relative to the best value with a one-detection floor
+FEASIBILITY_TOL = 1e-8  # largest violation of an accepted solution
+ABORT_TOL = 1e-6        # smallest violation the abort fallback reads as infeasible
+GAP_TOL = 1e-10         # duality gap that ends the multi-start search
 
 
 class InfeasibleSessionError(RuntimeError):
@@ -246,12 +253,17 @@ class KeyRateParams:
 
 @dataclass(frozen=True)
 class MinimizationResult:
-    """Outcome of one detection-count minimization."""
+    """Outcome of one detection-count minimization.
+
+    dual_bound is the best Lagrangian lower bound found (detections): no
+    point inside the bands has a smaller d_target.
+    """
 
     d_star: float
     x: np.ndarray
     status: str  # optimal | max_iterations
     residual: float
+    dual_bound: float
 
 
 def _constraint_matrices(config: ProtocolConfig,
@@ -280,14 +292,26 @@ def _constraint_matrices(config: ProtocolConfig,
     return Q, A, B @ np.ones(N)  # beta[i]: the row sums of the per-class offsets
 
 
-def _start_points(config: ProtocolConfig, target: int, D_E: float, x_cap: float) -> list[np.ndarray]:
-    """Fixed eight-point start grid in x = sqrt(d) units."""
+def _config_terms(config: ProtocolConfig, budget: EpsilonBudget) -> tuple:
+    """Everything the minimizer needs that depends on (config, budget) only.
+
+    Returns (Q, A, beta) from _constraint_matrices plus the photon-number
+    pmf p[n] and the honest counts' roots sqrt(y_n p_n K) of the start grid;
+    estimate_session builds them once for both targets.
+    """
     from .channel import photon_number_pmf, photon_yield
 
     N = config.n_max + 1
     p = np.array([photon_number_pmf(n, config.sources) for n in range(N)])
     y = np.array([photon_yield(n, config.channel) for n in range(N)])
     honest = np.sqrt(np.clip(y * p * config.K, 0.0, None))
+    return (*_constraint_matrices(config, budget), p, honest)
+
+
+def _start_points(p: np.ndarray, honest: np.ndarray, target: int, D_E: float,
+                  x_cap: float) -> list[np.ndarray]:
+    """Fixed eight-point start grid in x = sqrt(d) units."""
+    N = len(p)
     prop = np.sqrt(D_E * p / max(p.sum(), 1e-300))
     no_target = prop.copy()
     if p.sum() - p[target] > 0:
@@ -335,6 +359,27 @@ def _relative_residual(x, system, K) -> float:
     return max(0.0, float(np.max(-slack / row_scale)), (d.max() - K) / max(K, 1.0))
 
 
+def _dual_bound(lam, G, H, g, target: int, Xcap: float) -> float:
+    """Weak-duality lower bound on min X_target^2 s.t. G X^2 + H X + g >= 0, 0 <= X <= Xcap.
+
+    For any multipliers lam >= 0 (negative entries are clipped to 0),
+    theta(lam) = min over the box of X_target^2 - lam @ (G X^2 + H X + g)
+    is at most the constrained minimum, convex problem or not (Boyd &
+    Vandenberghe, Convex Optimization, sec. 5.2).  The Lagrangian separates
+    into c_n z^2 - e_n z per coordinate, with c = e_target - lam @ G and
+    e = lam @ H >= 0; its minimum over [0, Xcap] lies at e / (2c) clipped
+    to Xcap when c > 0, else at Xcap.
+    """
+    lam = np.clip(lam, 0.0, None)
+    c = -(lam @ G)
+    c[target] += 1.0
+    e = lam @ H
+    z = np.full(len(c), Xcap)
+    curved = c > 0.0
+    z[curved] = np.minimum(e[curved] / (2.0 * c[curved]), Xcap)
+    return float(np.sum(c * z * z - e * z) - lam @ g)
+
+
 def minimize_detection_count(public, config: ProtocolConfig, budget: EpsilonBudget,
                              target: int, cap_total: bool = True) -> MinimizationResult:
     """Smallest d_target compatible with all per-source confidence bands.
@@ -349,28 +394,41 @@ def minimize_detection_count(public, config: ProtocolConfig, budget: EpsilonBudg
     band is the sum of share_upper_bound/share_lower_bound over the
     classes), plus d_n <= K and (cap_total, default on) sum_n d_n <= D_E, a valid
     tightening since unseen classes contribute nonnegative detections.
-    All bands (and the cap) form one vector constraint, quadratic in x,
-    with an analytic Jacobian.  Deterministic multi-start SLSQP from a fixed
-    8-point grid; accepted solutions satisfy the constraints within 1e-8
-    relative.  When no start yields one, L-BFGS-B minimizes the squared
+    In d = x^2 the problem is convex (a linear objective, upper bands
+    q d + a sqrt(d) concave, lower bands q d - a sqrt(d) convex, a linear
+    cap); it is solved in x, where all bands (and the cap) form one vector
+    constraint, quadratic in x, with an analytic Jacobian.  SLSQP runs
+    from a fixed 8-point start grid; accepted solutions satisfy the
+    constraints within FEASIBILITY_TOL relative.  After each start the
+    solver's multipliers give a Lagrangian dual bound (_dual_bound); once
+    the best accepted value is within GAP_TOL (relative, one-detection
+    floor) of it, no start can do better and the search stops.  When no
+    start yields an accepted point, L-BFGS-B minimizes the squared
     violation of the same constraint with its exact gradient: if that
-    still leaves a residual above 1e-6, InfeasibleSessionError is raised
-    (protocol abort); otherwise the result is the conservative d_target = 0
-    with status "max_iterations".
+    still leaves a residual above ABORT_TOL, InfeasibleSessionError is
+    raised (protocol abort); otherwise the result is the conservative
+    d_target = 0 with status "max_iterations".
     """
+    return _minimize_count(public, config, _config_terms(config, budget), target, cap_total)
+
+
+def _minimize_count(public, config: ProtocolConfig, terms: tuple, target: int,
+                    cap_total: bool) -> MinimizationResult:
+    """minimize_detection_count with the config terms (_config_terms) given."""
     if target not in range(config.n_max + 1):
         raise ValueError(f"target class must lie in 0..{config.n_max}, got {target}")
     D_i = np.asarray(public.D_iE, dtype=float)
     if len(D_i) != len(config.sources):
         raise ValueError("transcript and config disagree on the number of sources")
     D_E = float(public.D_E)
-    system = _band_system(*_constraint_matrices(config, budget), D_i, D_E, cap_total)
+    Q, A, beta, p, honest = terms
+    system = _band_system(Q, A, beta, D_i, D_E, cap_total)
     if D_E == 0.0:
         x0 = np.zeros(config.n_max + 1)
         res = _relative_residual(x0, system, config.K)
-        if res > 1e-8:
+        if res > FEASIBILITY_TOL:
             raise InfeasibleSessionError("empty transcript is outside the confidence bands")
-        return MinimizationResult(0.0, x0, "optimal", res)
+        return MinimizationResult(0.0, x0, "optimal", res, 0.0)
 
     N = config.n_max + 1
     scale = math.sqrt(D_E)
@@ -399,6 +457,7 @@ def minimize_detection_count(public, config: ProtocolConfig, budget: EpsilonBudg
 
     cons = {"type": "ineq", "fun": con, "jac": con_jac}
     bounds = [(0.0, Xcap)] * N
+    starts = _start_points(p, honest, target, D_E, x_cap)
 
     best: tuple[float, np.ndarray] | None = None
 
@@ -406,23 +465,27 @@ def minimize_detection_count(public, config: ProtocolConfig, budget: EpsilonBudg
         nonlocal best
         X = np.clip(X, 0.0, Xcap)
         res = _relative_residual(X * scale, system, config.K)
-        if res <= 1e-8:
+        if res <= FEASIBILITY_TOL:
             val = obj(X)
             if best is None or val < best[0]:
                 best = (val, X)
 
-    for x0 in _start_points(config, target, D_E, x_cap):
+    lower = 0.0  # the best dual bound so far: no feasible point lies below it
+    for x0 in starts:
         X0 = x0 / scale
         consider(X0)  # a feasible start stands on its own if the solve diverges
         sol = _opt.minimize(obj, X0, jac=obj_jac, bounds=bounds, constraints=cons,
                             method="SLSQP", options={"maxiter": 300, "ftol": 1e-12})
         consider(sol.x)
+        lower = max(lower, _dual_bound(sol.multipliers, G, H, g, target, Xcap))
+        if best is not None and best[0] - lower <= GAP_TOL * max(best[0], 1.0 / D_E):
+            break
 
     if best is not None:
         X = best[1]
         x = X * scale
         return MinimizationResult(float(x[target] ** 2), x, "optimal",
-                                  _relative_residual(x, system, config.K))
+                                  _relative_residual(x, system, config.K), lower * D_E)
 
     # no feasible local solution: look for any feasible point before declaring abort
     def infeas(X):
@@ -430,15 +493,15 @@ def minimize_detection_count(public, config: ProtocolConfig, budget: EpsilonBudg
         return float(v @ v), 2.0 * v @ con_jac(X)
 
     worst = math.inf
-    for x0 in _start_points(config, target, D_E, x_cap):
+    for x0 in starts:
         sol = _opt.minimize(infeas, x0 / scale, jac=True, bounds=bounds, method="L-BFGS-B",
                             options={"maxiter": 500})
         X = np.clip(sol.x, 0.0, Xcap)
         worst = min(worst, _relative_residual(X * scale, system, config.K))
-    if worst > 1e-6:
+    if worst > ABORT_TOL:
         raise InfeasibleSessionError(
             f"no detection counts satisfy the confidence bands (best residual {worst:.3e})")
-    return MinimizationResult(0.0, np.zeros(N), "max_iterations", worst)
+    return MinimizationResult(0.0, np.zeros(N), "max_iterations", worst, lower * D_E)
 
 
 def _target_axis_window(z_cap: float, qt: float, at: float, r_up: np.ndarray,
@@ -474,14 +537,15 @@ def grid_minimize_detection(public, config: ProtocolConfig, budget: EpsilonBudge
     Exhaustively scans the non-target coordinates x_n = sqrt(d_n) on an
     axis-aligned grid at the given resolution (default 1e-3 sqrt(K)) and,
     for every grid point, solves the target coordinate exactly from the
-    quadratic constraint intervals.  Supports n_max <= 2.  Axes are first
+    quadratic constraint intervals.  Supports n_max = 2 (ProtocolConfig
+    rejects smaller cutoffs), so two non-target axes.  Axes are first
     narrowed by single-constraint relaxation bounds that provably contain
     the feasible set.  Independent of the multi-start solver by
     construction; returns None when the scanned region is infeasible.
     """
     N = config.n_max + 1
-    if N > 3:
-        raise ValueError("grid oracle supports n_max <= 2")
+    if N != 3:
+        raise ValueError("grid oracle supports n_max = 2 only")
     Q, A, beta = _constraint_matrices(config, budget)
     D_i = np.asarray(public.D_iE, dtype=float)
     D_up, D_lo = D_i - beta, D_i + beta  # right-hand sides of the upper and lower bands
@@ -515,11 +579,11 @@ def grid_minimize_detection(public, config: ProtocolConfig, budget: EpsilonBudge
         lo = math.floor(max(lb[n], 0.0) / h) * h
         return np.arange(lo, min(ub[n], x_cap) + h, h)
 
-    others = [n for n in range(N) if n != target]
+    u, v = (n for n in range(N) if n != target)  # the two scanned axes
     z_box = math.sqrt(float(config.K))
 
-    def eval_pairs(gu: np.ndarray, gv: np.ndarray, u: int, v: int):
-        """Exact minimal target coordinate per (gu x gv) grid pair; -inf max = empty."""
+    def eval_pairs(gu: np.ndarray, gv: np.ndarray):
+        """Exact minimal target coordinate per (gu x gv) grid pair on axes (u, v); -inf max = empty."""
         if cap_total:
             cap_sq = D_E - (gu[:, None] ** 2 + gv[None, :] ** 2)
             z_max = np.sqrt(np.clip(cap_sq, 0.0, None))
@@ -538,65 +602,28 @@ def grid_minimize_detection(public, config: ProtocolConfig, budget: EpsilonBudge
         z_max = np.minimum(z_max, z_box)
         return z_min, z_min <= z_max
 
-    if len(others) == 2:
-        u, v = others
-        gu, gv = axis(u), axis(v)
-        z_min, feasible = eval_pairs(gu, gv, u, v)
-        if not feasible.any():
-            return None
-        masked = np.where(feasible, z_min, np.inf)
-        iu, iv = np.unravel_index(np.argmin(masked), masked.shape)
-        best = float(masked[iu, iv])
-        cu, cv = float(gu[iu]), float(gv[iv])
-        # local subdivision removes the complement-axis quantization bias
-        span = 3.0 * h
-        for _ in range(3):
-            su = np.linspace(max(cu - span, 0.0), min(cu + span, x_cap), 41)
-            sv = np.linspace(max(cv - span, 0.0), min(cv + span, x_cap), 41)
-            z_min, feasible = eval_pairs(su, sv, u, v)
-            if feasible.any():
-                masked = np.where(feasible, z_min, np.inf)
-                iu, iv = np.unravel_index(np.argmin(masked), masked.shape)
-                if masked[iu, iv] < best:
-                    best = float(masked[iu, iv])
-                    cu, cv = float(su[iu]), float(sv[iv])
-            span /= 12.0
-        return best * best
-
-    if len(others) == 1:
-        (u,) = others
-        gu = axis(u)
-        z_min, feasible = eval_pairs(gu, np.zeros(1), u, target)  # dummy second axis
-        z_min, feasible = z_min[:, 0], feasible[:, 0]
-        if not feasible.any():
-            return None
-        masked = np.where(feasible, z_min, np.inf)
-        iu = int(np.argmin(masked))
-        best, cu = float(masked[iu]), float(gu[iu])
-        span = 3.0 * h
-        for _ in range(3):
-            su = np.linspace(max(cu - span, 0.0), min(cu + span, x_cap), 201)
-            z_min, feasible = eval_pairs(su, np.zeros(1), u, target)
-            z_min, feasible = z_min[:, 0], feasible[:, 0]
-            if feasible.any():
-                masked = np.where(feasible, z_min, np.inf)
-                iu = int(np.argmin(masked))
-                if masked[iu] < best:
-                    best, cu = float(masked[iu]), float(su[iu])
-            span /= 12.0
-        return best * best
-
-    # single-class problem: solve the target window directly
-    z_min = np.zeros(1)
-    z_max = np.full(1, x_cap)
-    for i in range(nsrc):
-        zi_min, zi_max = _target_axis_window(x_cap, Q[i, target], A[i, target],
-                                             np.array([D_up[i]]), np.array([D_lo[i]]))
-        z_min = np.maximum(z_min, zi_min)
-        z_max = np.minimum(z_max, zi_max)
-    if z_min[0] > z_max[0]:
+    gu, gv = axis(u), axis(v)
+    z_min, feasible = eval_pairs(gu, gv)
+    if not feasible.any():
         return None
-    return float(z_min[0] ** 2)
+    masked = np.where(feasible, z_min, np.inf)
+    iu, iv = np.unravel_index(np.argmin(masked), masked.shape)
+    best = float(masked[iu, iv])
+    cu, cv = float(gu[iu]), float(gv[iv])
+    # local subdivision removes the complement-axis quantization bias
+    span = 3.0 * h
+    for _ in range(3):
+        su = np.linspace(max(cu - span, 0.0), min(cu + span, x_cap), 41)
+        sv = np.linspace(max(cv - span, 0.0), min(cv + span, x_cap), 41)
+        z_min, feasible = eval_pairs(su, sv)
+        if feasible.any():
+            masked = np.where(feasible, z_min, np.inf)
+            iu, iv = np.unravel_index(np.argmin(masked), masked.shape)
+            if masked[iu, iv] < best:
+                best = float(masked[iu, iv])
+                cu, cv = float(su[iu]), float(sv[iv])
+        span /= 12.0
+    return best * best
 
 
 # ---------------------------------------------------------------------------
@@ -666,24 +693,49 @@ class EstimationResult:
         }
 
 
+def check_transcript(public, config: ProtocolConfig) -> None:
+    """Reject a transcript that contradicts itself or the config.
+
+    The per-source lists must have one entry per config source, K must be
+    the config's, sum(K_i) = K, sum(D_iE) = D_E and F_E <= D_E.  Raises
+    ValueError whose message starts with the offending field's name.
+    """
+    S = len(config.sources)
+    lists = {"K_i": public.K_i, "D_iE": public.D_iE}
+    for key, values in lists.items():
+        if len(values) != S:
+            raise ValueError(f"{key} lists {len(values)} sources, the config's protocol.sources {S}")
+    if public.K != config.K:
+        raise ValueError(f"K = {public.K} differs from the config's protocol.K = {config.K}")
+    for key, total, value in (("K_i", "K", public.K), ("D_iE", "D_E", public.D_E)):
+        if sum(lists[key]) != value:
+            raise ValueError(f"{key} sums to {sum(lists[key])}, not {total} = {value}")
+    if public.F_E > public.D_E:
+        raise ValueError(f"F_E = {public.F_E} exceeds D_E = {public.D_E}")
+
+
 def estimate_session(public, config: ProtocolConfig, eps_dsp: float,
                      params: KeyRateParams | None = None, *,
                      cap_total: bool = True, oracle_gap: bool = False) -> EstimationResult:
     """End-to-end estimation: budget, two minimizations, sifted bounds, key rate.
 
-    The vacuum and single-photon counts are minimized independently; the
-    union bound in the budget already covers both.  An infeasible transcript
-    yields a zero-key result with status "infeasible" (protocol abort).
+    The transcript must pass check_transcript (ValueError otherwise).  The
+    vacuum and single-photon counts are minimized independently; the union
+    bound in the budget already covers both.  A transcript outside the
+    confidence bands yields a zero-key result with status "infeasible"
+    (protocol abort).
     """
+    check_transcript(public, config)
     if params is None:
         params = KeyRateParams()
     budget = build_epsilon_budget(eps_dsp, config.n_max, len(config.sources))
     status = "optimal"
     residual = 0.0
     gap = None
+    terms = _config_terms(config, budget)
     try:
-        r0 = minimize_detection_count(public, config, budget, 0, cap_total=cap_total)
-        r1 = minimize_detection_count(public, config, budget, 1, cap_total=cap_total)
+        r0 = _minimize_count(public, config, terms, 0, cap_total)
+        r1 = _minimize_count(public, config, terms, 1, cap_total)
         d0, d1 = r0.d_star, r1.d_star
         residual = max(r0.residual, r1.residual)
         if "max_iterations" in (r0.status, r1.status):

@@ -184,9 +184,9 @@ def load_session(path) -> SessionPublic:
     """Read the public transcript ``session.public`` from a JSON file.
 
     Accepts the files written by ``simulate`` (other sections are ignored);
-    a missing or unknown key, a non-integer or negative count, per-source
-    lists of unequal length, per-source counts that do not sum to K or D_E,
-    or F_E > D_E raise ConfigError naming the field.
+    a missing or unknown key, a non-integer or negative count, or a
+    per-source entry that is not a list raise ConfigError naming the field.
+    Consistency with itself and with a config is estimator.check_transcript's.
     """
     node = _read_json(path, "transcript")
     try:
@@ -205,14 +205,6 @@ def load_session(path) -> SessionPublic:
             if not isinstance(values, list):
                 raise ConfigError(f"{context}.{key} must be a list, got {values!r}")
             fields[key] = tuple(_count(v, f"{context}.{key}[{j}]") for j, v in enumerate(values))
-        if len(fields["K_i"]) != len(fields["D_iE"]):
-            raise ConfigError(f"{context}.K_i and {context}.D_iE differ in length")
-        for key, total in (("K_i", "K"), ("D_iE", "D_E")):
-            if sum(fields[key]) != fields[total]:
-                raise ConfigError(f"{context}.{key} sums to {sum(fields[key])}, "
-                                  f"not {context}.{total} = {fields[total]}")
-        if fields["F_E"] > fields["D_E"]:
-            raise ConfigError(f"{context}.F_E = {fields['F_E']} exceeds {context}.D_E = {fields['D_E']}")
         return SessionPublic(**fields)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

@@ -1,6 +1,7 @@
 """Tests for the estimation procedures: budgets, bounds, solver, baselines."""
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -235,6 +236,31 @@ class TestMinimizer:
             assert r.status == "optimal"
             assert abs(r.d_star - g) <= 0.005 * max(g, 1.0)
 
+    def test_dual_bound_below_grid_oracle(self):
+        # weak duality: the Lagrangian bound lies below every feasible point,
+        # and the grid oracle evaluates only exactly feasible ones (c07-style
+        # n_max = 2 transcripts; 1e-12 relative allows for rounding)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cfg = ProtocolConfig(
+                sources=(SourceSpec("U", 0.0, 0.2), SourceSpec("V", 0.4, 0.3), SourceSpec("W", 1.1, 0.5)),
+                channel=ChannelParams(0.4, 0.02), K=10**6, n_max=2)
+        gen = np.random.default_rng(4242)
+        Q = np.array([source_posteriors(n, cfg.sources) for n in range(3)]).T
+        for _ in range(8):
+            budget = build_epsilon_budget(float(gen.uniform(0.005, 0.2)), cfg.n_max, 3)
+            A = budget.c_n[None, :3] * np.sqrt(Q * (1 - Q))
+            d_true = gen.uniform(0.12, 0.28, size=3) * cfg.K
+            D_i = Q @ d_true + gen.uniform(-0.7, 0.7, size=3) * (A @ np.sqrt(d_true))
+            pub = SessionPublic(K=cfg.K, K_i=(200000, 300000, 500000),
+                                D_iE=tuple(int(v) for v in np.round(D_i)),
+                                D_E=int(math.ceil(d_true.sum() * 1.02)), F_E=int(d_true.sum() * 0.51))
+            for target in (0, 1):
+                r = minimize_detection_count(pub, cfg, budget, target)
+                g = grid_minimize_detection(pub, cfg, budget, target)
+                assert r.status == "optimal" and g is not None
+                assert 0.0 <= r.dual_bound <= g + 1e-12 * max(g, 1.0)
+
     def test_grid_oracle_detects_infeasibility(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -390,6 +416,22 @@ class TestEstimateSession:
         assert res.solver_gap is not None
         assert res.solver_gap <= 0.01
 
+    @pytest.mark.parametrize("edit, field", [
+        (lambda p: replace(p, F_E=10 * p.D_E), "F_E"),
+        (lambda p: replace(p, K_i=(p.K_i[0] + 1,) + p.K_i[1:]), "K_i sums"),
+        (lambda p: replace(p, D_iE=(p.D_iE[0] + 1,) + p.D_iE[1:]), "D_iE sums"),
+        (lambda p: replace(p, K=p.K + 1, K_i=(p.K_i[0] + 1,) + p.K_i[1:]), "K ="),
+        (lambda p: replace(p, K_i=p.K_i + (0,), D_iE=p.D_iE + (0,)), "K_i lists 4 sources"),
+    ], ids=["F_E-above-D_E", "K_i-sum", "D_iE-sum", "K-differs-from-config",
+            "source-count-differs-from-config"])
+    def test_rejects_inconsistent_transcript(self, edit, field):
+        # bright.json stream 0 with F_E = 10 D_E used to certify a key length
+        # of 73,576 (honest: 3,559.8)
+        cfg = load_config(REPO / "configs" / "bright.json")
+        pub = simulate_session(cfg.protocol, cfg.attack, RngStream(cfg.seed, 0)).public()
+        with pytest.raises(ValueError, match=f"^{field}"):
+            estimate_session(edit(pub), cfg.protocol, cfg.eps_dsp, cfg.key_params)
+
     def test_result_serializes(self):
         import json
 
@@ -485,6 +527,23 @@ class TestCertifiedValues:
                     tol = 1e-8 * max(D, 1.0)
                     assert sum(share_upper_bound(dn, p) for dn, p in params) >= D - tol, (row[:3], i)
                     assert sum(share_lower_bound(dn, p) for dn, p in params) <= D + tol, (row[:3], i)
+                checked += 1
+        assert checked == 24
+
+
+    def test_dual_bound_closes_the_gap(self, golden_sessions):
+        # the first start's multipliers certify its optimum, so the search
+        # stops early; if this fails, every start runs again.  The accepted
+        # optimum may violate a band by the solver's feasibility tolerance,
+        # so it can also sit a hair below the bound.
+        checked = 0
+        for row, cfg, pub in golden_sessions:
+            if row[8] != "optimal":
+                continue
+            budget = build_epsilon_budget(cfg.eps_dsp, cfg.protocol.n_max, len(cfg.protocol.sources))
+            for target in (0, 1):
+                r = minimize_detection_count(pub, cfg.protocol, budget, target)
+                assert abs(r.d_star - r.dual_bound) <= 1e-10 * max(r.d_star, 1.0), (row[:3], target)
                 checked += 1
         assert checked == 24
 
