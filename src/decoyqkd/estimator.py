@@ -12,14 +12,16 @@ The per-class confidence statements come from one Bernstein envelope,
 q d +/- (sqrt(2 q(1-q) d L) + L/3), and become quadratic constraints on
 x_n = sqrt(d_n).  The minimization is convex in d and solved in x by SLSQP;
 a Lagrangian dual bound certifies each result, so the deterministic start
-grid runs past its first start only while the duality gap stays open.  An
-exhaustive grid oracle on n_max = 2 checks the solver independently.
+grid runs past its first start only while the duality gap stays open.  The
+same bound on the phase-I problem (the smallest band violation) certifies
+every protocol abort.  An exhaustive grid oracle on n_max = 2 checks the
+solver independently.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy import optimize as _opt
@@ -55,7 +57,7 @@ LN2 = math.log(2.0)
 # minimizer gates: band violations relative to each row's scale (_band_system),
 # the duality gap relative to the best value with a one-detection floor
 FEASIBILITY_TOL = 1e-8  # largest violation of an accepted solution
-ABORT_TOL = 1e-6        # smallest violation the abort fallback reads as infeasible
+ABORT_TOL = 1e-6        # violation a phase-I dual bound must prove before an abort
 GAP_TOL = 1e-10         # duality gap that ends the multi-start search
 
 
@@ -309,44 +311,44 @@ def _config_terms(config: ProtocolConfig, budget: EpsilonBudget) -> tuple:
 
 
 def _start_points(p: np.ndarray, honest: np.ndarray, target: int, D_E: float,
-                  x_cap: float) -> list[np.ndarray]:
-    """Fixed eight-point start grid in x = sqrt(d) units."""
+                  x_cap: float) -> Iterator[np.ndarray]:
+    """Fixed eight-point start grid in x = sqrt(d) units, each built when it is needed."""
+
+    def fit(s):  # into the box, and scaled down to the total D_E
+        s = np.clip(s, 0.0, x_cap)
+        tot = float((s * s).sum())
+        return s * math.sqrt(D_E / tot) if D_E > 0 and tot > D_E else s
+
+    yield fit(honest)
     N = len(p)
     prop = np.sqrt(D_E * p / max(p.sum(), 1e-300))
+    yield fit(prop)
     no_target = prop.copy()
     if p.sum() - p[target] > 0:
         no_target[:] = np.sqrt(D_E * p / max(p.sum() - p[target], 1e-300))
     no_target[target] = 0.0
-    unif = np.full(N, math.sqrt(max(D_E, 0.0) / N))
+    yield fit(no_target)
+    yield fit(np.full(N, math.sqrt(max(D_E, 0.0) / N)))
     high = np.full(N, math.sqrt(0.001 * max(D_E, 0.0) / N))
     high[-1] = math.sqrt(0.999 * max(D_E, 0.0))
-    starts = [honest, prop, no_target, unif, high,
-              0.5 * honest, 1.5 * honest, 0.5 * (honest + high)]
-    out = []
-    for s in starts:
-        s = np.clip(s, 0.0, x_cap)
-        tot = float((s * s).sum())
-        if D_E > 0 and tot > D_E:
-            s = s * math.sqrt(D_E / tot)
-        out.append(s)
-    return out
+    for s in (high, 0.5 * honest, 1.5 * honest, 0.5 * (honest + high)):
+        yield fit(s)
 
 
-def _band_system(Q, A, beta, D_i, D_E, cap_total):
+def _band_system(Q, A, beta, D_i, D_E):
     """Every band as one slack vector G @ d + H @ sqrt(d) + g >= 0.
 
     Rows: the S upper bands Q d + A sqrt(d) + beta - D_i, the S lower bands
-    D_i + beta - Q d + A sqrt(d), then, with cap_total, the total cap
-    D_E - sum(d).  row_scale is each row's magnitude (max(|D_i|, 1), resp.
-    max(D_E, 1)), the unit of the residual gate.
+    D_i + beta - Q d + A sqrt(d), then the total cap D_E - sum(d).
+    row_scale is each row's magnitude (max(|D_i|, 1), resp. max(D_E, 1)),
+    the unit of the residual gate.
     """
     N = Q.shape[1]
-    m = 2 * len(D_i) + int(cap_total)
-    G = np.vstack([Q, -Q, -np.ones((1, N))])[:m]
-    H = np.vstack([A, A, np.zeros((1, N))])[:m]
-    g = np.concatenate([beta - D_i, D_i + beta, [D_E]])[:m]
+    G = np.vstack([Q, -Q, -np.ones((1, N))])
+    H = np.vstack([A, A, np.zeros((1, N))])
+    g = np.concatenate([beta - D_i, D_i + beta, [D_E]])
     s = np.maximum(np.abs(D_i), 1.0)
-    row_scale = np.concatenate([s, s, [max(D_E, 1.0)]])[:m]
+    row_scale = np.concatenate([s, s, [max(D_E, 1.0)]])
     return G, H, g, row_scale
 
 
@@ -359,20 +361,19 @@ def _relative_residual(x, system, K) -> float:
     return max(0.0, float(np.max(-slack / row_scale)), (d.max() - K) / max(K, 1.0))
 
 
-def _dual_bound(lam, G, H, g, target: int, Xcap: float) -> float:
-    """Weak-duality lower bound on min X_target^2 s.t. G X^2 + H X + g >= 0, 0 <= X <= Xcap.
+def _dual_bound(lam, G, H, g, weights, Xcap: float) -> float:
+    """Weak-duality lower bound on min weights @ X^2 s.t. G X^2 + H X + g >= 0, 0 <= X <= Xcap.
 
     For any multipliers lam >= 0 (negative entries are clipped to 0),
-    theta(lam) = min over the box of X_target^2 - lam @ (G X^2 + H X + g)
+    theta(lam) = min over the box of weights @ X^2 - lam @ (G X^2 + H X + g)
     is at most the constrained minimum, convex problem or not (Boyd &
     Vandenberghe, Convex Optimization, sec. 5.2).  The Lagrangian separates
-    into c_n z^2 - e_n z per coordinate, with c = e_target - lam @ G and
+    into c_n z^2 - e_n z per coordinate, with c = weights - lam @ G and
     e = lam @ H >= 0; its minimum over [0, Xcap] lies at e / (2c) clipped
     to Xcap when c > 0, else at Xcap.
     """
     lam = np.clip(lam, 0.0, None)
-    c = -(lam @ G)
-    c[target] += 1.0
+    c = weights - lam @ G
     e = lam @ H
     z = np.full(len(c), Xcap)
     curved = c > 0.0
@@ -381,7 +382,7 @@ def _dual_bound(lam, G, H, g, target: int, Xcap: float) -> float:
 
 
 def minimize_detection_count(public, config: ProtocolConfig, budget: EpsilonBudget,
-                             target: int, cap_total: bool = True) -> MinimizationResult:
+                             target: int) -> MinimizationResult:
     """Smallest d_target compatible with all per-source confidence bands.
 
     Minimizes x_target^2 over x_n = sqrt(d_n) >= 0, n = 0..n_max, subject
@@ -392,28 +393,31 @@ def minimize_detection_count(public, config: ProtocolConfig, budget: EpsilonBudg
 
     with beta_i the sum of b_n over the classes with 0 < q_n^i < 1 (each
     band is the sum of share_upper_bound/share_lower_bound over the
-    classes), plus d_n <= K and (cap_total, default on) sum_n d_n <= D_E, a valid
-    tightening since unseen classes contribute nonnegative detections.
-    In d = x^2 the problem is convex (a linear objective, upper bands
-    q d + a sqrt(d) concave, lower bands q d - a sqrt(d) convex, a linear
-    cap); it is solved in x, where all bands (and the cap) form one vector
-    constraint, quadratic in x, with an analytic Jacobian.  SLSQP runs
-    from a fixed 8-point start grid; accepted solutions satisfy the
-    constraints within FEASIBILITY_TOL relative.  After each start the
-    solver's multipliers give a Lagrangian dual bound (_dual_bound); once
-    the best accepted value is within GAP_TOL (relative, one-detection
-    floor) of it, no start can do better and the search stops.  When no
-    start yields an accepted point, L-BFGS-B minimizes the squared
-    violation of the same constraint with its exact gradient: if that
-    still leaves a residual above ABORT_TOL, InfeasibleSessionError is
-    raised (protocol abort); otherwise the result is the conservative
-    d_target = 0 with status "max_iterations".
+    classes), plus d_n <= K and sum_n d_n <= D_E, a valid tightening since
+    unseen classes contribute nonnegative detections.  In d = x^2 the
+    problem is convex (a linear objective, upper bands q d + a sqrt(d)
+    concave, lower bands q d - a sqrt(d) convex, a linear cap); it is
+    solved in x, where all bands and the cap form one vector constraint,
+    quadratic in x, with an analytic Jacobian.  SLSQP runs from a fixed
+    8-point start grid; accepted solutions satisfy the constraints within
+    FEASIBILITY_TOL relative.  After each start the solver's multipliers
+    give a Lagrangian dual bound (_dual_bound); once the best accepted
+    value is within GAP_TOL (relative, one-detection floor) of it, no start
+    can do better and the search stops.  A start that leaves no accepted
+    point is followed by the phase-I problem (Boyd & Vandenberghe, Convex
+    Optimization, sec. 11.4.1): minimize the largest relative violation t
+    of the same constraint.  The same dual bound, with a zero objective
+    and the multipliers normalized to the violation's units, lower-bounds
+    t over the whole box (sec. 5.8); when it exceeds ABORT_TOL no point
+    can be accepted and InfeasibleSessionError is raised (protocol abort).
+    If no start yields an accepted point and none proves the violation,
+    the result is the conservative d_target = 0 with status
+    "max_iterations" and the smallest violation found as its residual.
     """
-    return _minimize_count(public, config, _config_terms(config, budget), target, cap_total)
+    return _minimize_count(public, config, _config_terms(config, budget), target)
 
 
-def _minimize_count(public, config: ProtocolConfig, terms: tuple, target: int,
-                    cap_total: bool) -> MinimizationResult:
+def _minimize_count(public, config: ProtocolConfig, terms: tuple, target: int) -> MinimizationResult:
     """minimize_detection_count with the config terms (_config_terms) given."""
     if target not in range(config.n_max + 1):
         raise ValueError(f"target class must lie in 0..{config.n_max}, got {target}")
@@ -422,7 +426,7 @@ def _minimize_count(public, config: ProtocolConfig, terms: tuple, target: int,
         raise ValueError("transcript and config disagree on the number of sources")
     D_E = float(public.D_E)
     Q, A, beta, p, honest = terms
-    system = _band_system(Q, A, beta, D_i, D_E, cap_total)
+    system = _band_system(Q, A, beta, D_i, D_E)
     if D_E == 0.0:
         x0 = np.zeros(config.n_max + 1)
         res = _relative_residual(x0, system, config.K)
@@ -432,14 +436,17 @@ def _minimize_count(public, config: ProtocolConfig, terms: tuple, target: int,
 
     N = config.n_max + 1
     scale = math.sqrt(D_E)
-    x_cap = math.sqrt(min(float(config.K), D_E) if cap_total else float(config.K))
+    x_cap = math.sqrt(min(float(config.K), D_E))
 
     # scaled units: X = x / sqrt(D_E); dividing the band system by D_E gives
-    # con(X) = G @ X^2 + (H / sqrt(D_E)) @ X + g / D_E >= 0
-    G, H, g, _ = system
+    # con(X) = G @ X^2 + (H / sqrt(D_E)) @ X + g / D_E >= 0, and -con / w is
+    # each row's violation in the residual gate's units
+    G, H, g, row_scale = system
     H = H / scale
     g = g / D_E
+    w = row_scale / D_E
     Xcap = x_cap / scale
+    weights = np.eye(N)[target]  # the objective X_target^2 as weights @ X^2
 
     def obj(X):
         return X[target] * X[target]
@@ -457,11 +464,16 @@ def _minimize_count(public, config: ProtocolConfig, terms: tuple, target: int,
 
     cons = {"type": "ineq", "fun": con, "jac": con_jac}
     bounds = [(0.0, Xcap)] * N
-    starts = _start_points(p, honest, target, D_E, x_cap)
+
+    # phase I in Y = (X, t): minimize t subject to con(X) + t w >= 0
+    e_t = np.append(np.zeros(N), 1.0)
+    cons_t = {"type": "ineq", "fun": lambda Y: con(Y[:N]) + Y[N] * w,
+              "jac": lambda Y: np.hstack([con_jac(Y[:N]), w[:, None]])}
+    bounds_t = bounds + [(None, None)]
 
     best: tuple[float, np.ndarray] | None = None
 
-    def consider(X):
+    def consider(X) -> float:
         nonlocal best
         X = np.clip(X, 0.0, Xcap)
         res = _relative_residual(X * scale, system, config.K)
@@ -469,15 +481,32 @@ def _minimize_count(public, config: ProtocolConfig, terms: tuple, target: int,
             val = obj(X)
             if best is None or val < best[0]:
                 best = (val, X)
+        return res
 
     lower = 0.0  # the best dual bound so far: no feasible point lies below it
-    for x0 in starts:
+    least = math.inf  # the smallest violation found by phase I
+    for x0 in _start_points(p, honest, target, D_E, x_cap):
         X0 = x0 / scale
         consider(X0)  # a feasible start stands on its own if the solve diverges
         sol = _opt.minimize(obj, X0, jac=obj_jac, bounds=bounds, constraints=cons,
                             method="SLSQP", options={"maxiter": 300, "ftol": 1e-12})
         consider(sol.x)
-        lower = max(lower, _dual_bound(sol.multipliers, G, H, g, target, Xcap))
+        lower = max(lower, _dual_bound(sol.multipliers, G, H, g, weights, Xcap))
+        if best is None:
+            Y0 = np.append(X0, max(0.0, float(np.max(-con(X0) / w))))
+            sol = _opt.minimize(lambda Y: Y[N], Y0, jac=lambda Y: e_t, bounds=bounds_t,
+                                constraints=cons_t, method="SLSQP",
+                                options={"maxiter": 300, "ftol": 1e-12})
+            # with lam @ w = 1 the Lagrangian loses t, and its minimum over the
+            # box bounds the smallest violation from below
+            lam = np.clip(sol.multipliers, 0.0, None)
+            norm = float(lam @ w)
+            proof = _dual_bound(lam / norm, G, H, g, 0.0, Xcap) if norm > 0.0 else -math.inf
+            if proof > ABORT_TOL:
+                raise InfeasibleSessionError(
+                    f"no detection counts satisfy the confidence bands "
+                    f"(every point violates them by at least {proof:.3e})")
+            least = min(least, consider(sol.x[:N]))
         if best is not None and best[0] - lower <= GAP_TOL * max(best[0], 1.0 / D_E):
             break
 
@@ -486,22 +515,7 @@ def _minimize_count(public, config: ProtocolConfig, terms: tuple, target: int,
         x = X * scale
         return MinimizationResult(float(x[target] ** 2), x, "optimal",
                                   _relative_residual(x, system, config.K), lower * D_E)
-
-    # no feasible local solution: look for any feasible point before declaring abort
-    def infeas(X):
-        v = np.minimum(con(X), 0.0)
-        return float(v @ v), 2.0 * v @ con_jac(X)
-
-    worst = math.inf
-    for x0 in starts:
-        sol = _opt.minimize(infeas, x0 / scale, jac=True, bounds=bounds, method="L-BFGS-B",
-                            options={"maxiter": 500})
-        X = np.clip(sol.x, 0.0, Xcap)
-        worst = min(worst, _relative_residual(X * scale, system, config.K))
-    if worst > ABORT_TOL:
-        raise InfeasibleSessionError(
-            f"no detection counts satisfy the confidence bands (best residual {worst:.3e})")
-    return MinimizationResult(0.0, np.zeros(N), "max_iterations", worst, lower * D_E)
+    return MinimizationResult(0.0, np.zeros(N), "max_iterations", least, lower * D_E)
 
 
 def _target_axis_window(z_cap: float, qt: float, at: float, r_up: np.ndarray,
@@ -530,14 +544,13 @@ def _target_axis_window(z_cap: float, qt: float, at: float, r_up: np.ndarray,
 
 
 def grid_minimize_detection(public, config: ProtocolConfig, budget: EpsilonBudget,
-                            target: int, cap_total: bool = True,
-                            resolution: float | None = None) -> float | None:
+                            target: int) -> float | None:
     """Brute-force grid oracle for the detection-count minimum.
 
     Exhaustively scans the non-target coordinates x_n = sqrt(d_n) on an
-    axis-aligned grid at the given resolution (default 1e-3 sqrt(K)) and,
-    for every grid point, solves the target coordinate exactly from the
-    quadratic constraint intervals.  Supports n_max = 2 (ProtocolConfig
+    axis-aligned grid at resolution 1e-3 sqrt(K) and, for every grid
+    point, solves the target coordinate exactly from the quadratic
+    constraint intervals.  Supports n_max = 2 (ProtocolConfig
     rejects smaller cutoffs), so two non-target axes.  Axes are first
     narrowed by single-constraint relaxation bounds that provably contain
     the feasible set.  Independent of the multi-start solver by
@@ -550,8 +563,8 @@ def grid_minimize_detection(public, config: ProtocolConfig, budget: EpsilonBudge
     D_i = np.asarray(public.D_iE, dtype=float)
     D_up, D_lo = D_i - beta, D_i + beta  # right-hand sides of the upper and lower bands
     D_E = float(public.D_E)
-    h = resolution if resolution is not None else 1e-3 * math.sqrt(config.K)
-    x_cap = math.sqrt(min(float(config.K), D_E) if cap_total else float(config.K))
+    h = 1e-3 * math.sqrt(config.K)
+    x_cap = math.sqrt(min(float(config.K), D_E))
     nsrc = len(D_i)
 
     # provable per-axis windows: relax every other axis against its extreme term
@@ -580,26 +593,22 @@ def grid_minimize_detection(public, config: ProtocolConfig, budget: EpsilonBudge
         return np.arange(lo, min(ub[n], x_cap) + h, h)
 
     u, v = (n for n in range(N) if n != target)  # the two scanned axes
-    z_box = math.sqrt(float(config.K))
 
     def eval_pairs(gu: np.ndarray, gv: np.ndarray):
         """Exact minimal target coordinate per (gu x gv) grid pair on axes (u, v); -inf max = empty."""
-        if cap_total:
-            cap_sq = D_E - (gu[:, None] ** 2 + gv[None, :] ** 2)
-            z_max = np.sqrt(np.clip(cap_sq, 0.0, None))
-            z_max[cap_sq < 0.0] = -np.inf
-        else:
-            z_max = np.full((len(gu), len(gv)), z_box)
+        cap_sq = D_E - (gu[:, None] ** 2 + gv[None, :] ** 2)
+        z_max = np.sqrt(np.clip(cap_sq, 0.0, None))
+        z_max[cap_sq < 0.0] = -np.inf
         z_min = np.zeros_like(z_max)
         for i in range(nsrc):
             r_up = D_up[i] - ((Q[i, u] * gu ** 2 + A[i, u] * gu)[:, None]
                              + (Q[i, v] * gv ** 2 + A[i, v] * gv)[None, :])
             r_lo = D_lo[i] - ((Q[i, u] * gu ** 2 - A[i, u] * gu)[:, None]
                              + (Q[i, v] * gv ** 2 - A[i, v] * gv)[None, :])
-            zi_min, zi_max = _target_axis_window(z_box, Q[i, target], A[i, target], r_up, r_lo)
+            zi_min, zi_max = _target_axis_window(x_cap, Q[i, target], A[i, target], r_up, r_lo)
             z_min = np.maximum(z_min, zi_min)
             z_max = np.minimum(z_max, zi_max)
-        z_max = np.minimum(z_max, z_box)
+        z_max = np.minimum(z_max, x_cap)
         return z_min, z_min <= z_max
 
     gu, gv = axis(u), axis(v)
@@ -676,7 +685,6 @@ class EstimationResult:
     budget: EpsilonBudget
     solver_status: str  # optimal | infeasible | max_iterations
     solver_residual: float
-    solver_gap: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -689,7 +697,6 @@ class EstimationResult:
             "budget": self.budget.to_dict(),
             "solver_status": self.solver_status,
             "solver_residual": self.solver_residual,
-            "solver_gap": self.solver_gap,
         }
 
 
@@ -715,8 +722,7 @@ def check_transcript(public, config: ProtocolConfig) -> None:
 
 
 def estimate_session(public, config: ProtocolConfig, eps_dsp: float,
-                     params: KeyRateParams | None = None, *,
-                     cap_total: bool = True, oracle_gap: bool = False) -> EstimationResult:
+                     params: KeyRateParams | None = None) -> EstimationResult:
     """End-to-end estimation: budget, two minimizations, sifted bounds, key rate.
 
     The transcript must pass check_transcript (ValueError otherwise).  The
@@ -731,22 +737,14 @@ def estimate_session(public, config: ProtocolConfig, eps_dsp: float,
     budget = build_epsilon_budget(eps_dsp, config.n_max, len(config.sources))
     status = "optimal"
     residual = 0.0
-    gap = None
     terms = _config_terms(config, budget)
     try:
-        r0 = _minimize_count(public, config, terms, 0, cap_total)
-        r1 = _minimize_count(public, config, terms, 1, cap_total)
+        r0 = _minimize_count(public, config, terms, 0)
+        r1 = _minimize_count(public, config, terms, 1)
         d0, d1 = r0.d_star, r1.d_star
         residual = max(r0.residual, r1.residual)
         if "max_iterations" in (r0.status, r1.status):
             status = "max_iterations"
-        if oracle_gap and config.n_max <= 2:
-            gaps = []
-            for target, r in ((0, r0), (1, r1)):
-                g = grid_minimize_detection(public, config, budget, target, cap_total=cap_total)
-                if g is not None:
-                    gaps.append(abs(r.d_star - g) / max(g, 1.0))
-            gap = max(gaps) if gaps else None
     except InfeasibleSessionError:
         status = "infeasible"
         d0 = d1 = 0.0
@@ -757,8 +755,7 @@ def estimate_session(public, config: ProtocolConfig, eps_dsp: float,
         s, kl = 0.0, 0.0
     return EstimationResult(d0_star=d0, d1_star=d1, f0_star=f0, f1_star=f1,
                             key_rate_s=s, key_length=kl, budget=budget,
-                            solver_status=status, solver_residual=residual,
-                            solver_gap=gap)
+                            solver_status=status, solver_residual=residual)
 
 
 # ---------------------------------------------------------------------------

@@ -6,24 +6,25 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from decoyqkd import (
+from decoyqkd.attacks import (
     AttackContractError,
     AttackSpec,
-    ChannelParams,
-    ProtocolConfig,
-    RngStream,
-    SourceSpec,
     analytic_variance_report,
     attack_detections,
-    photon_number_pmf,
     sample_photon_counts,
     sift,
     simulate_session,
-    source_posteriors,
     split_by_source,
-    total_variance_decompose,
+)
+from decoyqkd.channel import (
+    ChannelParams,
+    ProtocolConfig,
+    SourceSpec,
+    photon_number_pmf,
+    source_posteriors,
     total_yield,
 )
+from decoyqkd.stats import RngStream, total_variance_decompose
 
 FIG_TRIO = (SourceSpec("U", 0.0, 0.01), SourceSpec("V", 0.063, 0.0275), SourceSpec("W", 0.5, 0.9625))
 FIG_CH = ChannelParams(eta=1e-3, y0=2e-6)

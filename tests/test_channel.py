@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from decoyqkd import (
+from decoyqkd.channel import (
     ChannelParams,
     ProtocolConfig,
     SourceSpec,
@@ -13,10 +13,10 @@ from decoyqkd import (
     default_n_max,
     photon_number_pmf,
     photon_yield,
-    poisson_pmf,
     source_posteriors,
     total_yield,
 )
+from decoyqkd.stats import poisson_pmf
 
 # three-source layout used throughout: vacuum + weak decoy + signal
 U = SourceSpec("U", 0.0, 0.01)

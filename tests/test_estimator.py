@@ -8,37 +8,38 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
-from decoyqkd import (
-    AttackSpec,
-    BoundParams,
+from decoyqkd.attacks import AttackSpec, SessionPublic, simulate_session
+from decoyqkd.channel import (
     ChannelParams,
+    ProtocolConfig,
+    SourceSpec,
+    source_posteriors,
+    total_yield,
+)
+from decoyqkd.estimator import (
+    ABORT_TOL,
+    FEASIBILITY_TOL,
+    BoundParams,
     InfeasibleSessionError,
     KeyRateParams,
-    ProtocolConfig,
-    RngStream,
-    SessionPublic,
-    SourceSpec,
     bayes_dark_posterior,
     build_epsilon_budget,
-    chernoff_binomial_tail_bound,
     coverage_probability,
     estimate_session,
     grid_minimize_detection,
     iid_baseline_estimate,
     key_rate,
     minimize_detection_count,
-    poisson_pmf,
     share_lower_bound,
     share_upper_bound,
     sifted_lower_bound,
-    simulate_session,
-    source_posteriors,
     total_lower_bound,
     total_upper_bound,
-    total_yield,
 )
 from decoyqkd.harness import load_config
+from decoyqkd.stats import RngStream, chernoff_binomial_tail_bound, poisson_pmf
 
 BRIGHT_TRIO = (SourceSpec("U", 0.0, 0.1), SourceSpec("V", 0.1, 0.3), SourceSpec("W", 0.5, 0.6))
 BRIGHT_CH = ChannelParams(eta=0.1, y0=1e-5)
@@ -187,6 +188,29 @@ class TestBoundFunctions:
         assert share_upper_bound(u + du, p) > share_upper_bound(u, p)
 
 
+def _c07_transcripts(seed: int, count: int):
+    """The n_max = 2 config of criterion 7 and `count` of its random transcripts.
+
+    Each transcript is (budget, D_iE, D_E, F_E), drawn as c07 draws them.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfg = ProtocolConfig(
+            sources=(SourceSpec("U", 0.0, 0.2), SourceSpec("V", 0.4, 0.3), SourceSpec("W", 1.1, 0.5)),
+            channel=ChannelParams(0.4, 0.02), K=10**6, n_max=2)
+    gen = np.random.default_rng(seed)
+    Q = np.array([source_posteriors(n, cfg.sources) for n in range(3)]).T
+    out = []
+    for _ in range(count):
+        budget = build_epsilon_budget(float(gen.uniform(0.005, 0.2)), cfg.n_max, 3)
+        A = budget.c_n[None, :3] * np.sqrt(Q * (1 - Q))
+        d_true = gen.uniform(0.12, 0.28, size=3) * cfg.K
+        D_i = Q @ d_true + gen.uniform(-0.7, 0.7, size=3) * (A @ np.sqrt(d_true))
+        out.append((budget, tuple(int(v) for v in np.round(D_i)),
+                    int(math.ceil(d_true.sum() * 1.02)), int(d_true.sum() * 0.51)))
+    return cfg, out
+
+
 class TestMinimizer:
     def test_degenerate_single_vacuum_source(self):
         # q -> 1 collapses the bands to equality: d0* equals the observed count
@@ -240,26 +264,49 @@ class TestMinimizer:
         # weak duality: the Lagrangian bound lies below every feasible point,
         # and the grid oracle evaluates only exactly feasible ones (c07-style
         # n_max = 2 transcripts; 1e-12 relative allows for rounding)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cfg = ProtocolConfig(
-                sources=(SourceSpec("U", 0.0, 0.2), SourceSpec("V", 0.4, 0.3), SourceSpec("W", 1.1, 0.5)),
-                channel=ChannelParams(0.4, 0.02), K=10**6, n_max=2)
-        gen = np.random.default_rng(4242)
-        Q = np.array([source_posteriors(n, cfg.sources) for n in range(3)]).T
-        for _ in range(8):
-            budget = build_epsilon_budget(float(gen.uniform(0.005, 0.2)), cfg.n_max, 3)
-            A = budget.c_n[None, :3] * np.sqrt(Q * (1 - Q))
-            d_true = gen.uniform(0.12, 0.28, size=3) * cfg.K
-            D_i = Q @ d_true + gen.uniform(-0.7, 0.7, size=3) * (A @ np.sqrt(d_true))
-            pub = SessionPublic(K=cfg.K, K_i=(200000, 300000, 500000),
-                                D_iE=tuple(int(v) for v in np.round(D_i)),
-                                D_E=int(math.ceil(d_true.sum() * 1.02)), F_E=int(d_true.sum() * 0.51))
+        cfg, transcripts = _c07_transcripts(4242, 8)
+        for budget, D_i, D_E, F_E in transcripts:
+            pub = SessionPublic(K=cfg.K, K_i=(200000, 300000, 500000), D_iE=D_i, D_E=D_E, F_E=F_E)
             for target in (0, 1):
                 r = minimize_detection_count(pub, cfg, budget, target)
                 g = grid_minimize_detection(pub, cfg, budget, target)
                 assert r.status == "optimal" and g is not None
                 assert 0.0 <= r.dual_bound <= g + 1e-12 * max(g, 1.0)
+
+    def test_abort_only_where_the_grid_oracle_finds_nothing(self):
+        # a certified abort proves that every point violates the bands, so
+        # the grid oracle, which keeps only exactly feasible points, must
+        # find none (c07-style n_max = 2 transcripts, vacuum clicks
+        # inflated x1.0 ... x2.0 and added to D_E)
+        cfg, transcripts = _c07_transcripts(7, 4)
+        outcomes = set()
+        for budget, D_i, D_E, F_E in transcripts:
+            for factor in np.linspace(1.0, 2.0, 6):
+                add = int(round((factor - 1.0) * D_i[0]))
+                pub = SessionPublic(K=cfg.K, K_i=(200000, 300000, 500000),
+                                    D_iE=(D_i[0] + add,) + D_i[1:], D_E=D_E + add, F_E=F_E)
+                for target in (0, 1):
+                    try:
+                        outcomes.add(minimize_detection_count(pub, cfg, budget, target).status)
+                    except InfeasibleSessionError:
+                        outcomes.add("infeasible")
+                        assert grid_minimize_detection(pub, cfg, budget, target) is None, (factor, target)
+        assert {"optimal", "infeasible"} <= outcomes
+
+    def test_no_abort_below_abort_tol(self):
+        # at the feasibility edge of the third transcript the smallest
+        # violation is 2.1e-7 of the bands' scale (phase I's point and its
+        # dual bound agree to 1e-15): no abort can be proven, and none may
+        # be declared (a search that minimizes the squared violation stops
+        # near 1e-5 here and would abort)
+        cfg, transcripts = _c07_transcripts(7, 3)
+        budget, D_i, D_E, F_E = transcripts[2]
+        pub = SessionPublic(K=cfg.K, K_i=(200000, 300000, 500000),
+                            D_iE=(D_i[0] + 67343,) + D_i[1:], D_E=D_E + 67343, F_E=F_E)
+        for target in (0, 1):
+            r = minimize_detection_count(pub, cfg, budget, target)
+            assert r.status == "max_iterations" and r.d_star == 0.0
+            assert FEASIBILITY_TOL < r.residual <= ABORT_TOL
 
     def test_grid_oracle_detects_infeasibility(self):
         with warnings.catch_warnings():
@@ -395,27 +442,6 @@ class TestEstimateSession:
             assert r.d1_star <= s.d_nE[1] + 1e-9
             assert r.f1_star <= s.f_nE[1] + 1e-9
 
-    def test_total_cap_is_a_tightening(self):
-        # dropping the sum constraint enlarges the feasible region, so the
-        # minimized count can only decrease
-        cfg = bright_config()
-        s = simulate_session(cfg, AttackSpec("none"), RngStream(111))
-        budget = build_epsilon_budget(0.01, cfg.n_max, 3)
-        for target in (0, 1):
-            with_cap = minimize_detection_count(s.public(), cfg, budget, target, cap_total=True)
-            without = minimize_detection_count(s.public(), cfg, budget, target, cap_total=False)
-            assert without.d_star <= with_cap.d_star + 1e-6 * max(1.0, with_cap.d_star)
-
-    def test_oracle_gap_diagnostic(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cfg = ProtocolConfig(sources=BRIGHT_TRIO, channel=ChannelParams(0.4, 0.02),
-                                 K=10**5, n_max=2)
-        s = simulate_session(cfg, AttackSpec("none"), RngStream(33))
-        res = estimate_session(s.public(), cfg, 0.05, oracle_gap=True)
-        assert res.solver_gap is not None
-        assert res.solver_gap <= 0.01
-
     @pytest.mark.parametrize("edit, field", [
         (lambda p: replace(p, F_E=10 * p.D_E), "F_E"),
         (lambda p: replace(p, K_i=(p.K_i[0] + 1,) + p.K_i[1:]), "K_i sums"),
@@ -530,6 +556,31 @@ class TestCertifiedValues:
                 checked += 1
         assert checked == 24
 
+
+    def test_abort_is_proven_by_one_phase_one_solve(self, golden_sessions, monkeypatch):
+        # a tampered transcript aborts after its first start: one SLSQP
+        # solve of the problem, one of phase I, whose dual bound proves the
+        # violation; no other solver runs
+        methods = []
+        minimize = optimize.minimize
+
+        def counted(*args, **kwargs):
+            methods.append(kwargs.get("method"))
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "minimize", counted)
+        checked = 0
+        for row, cfg, pub in golden_sessions:
+            if row[8] != "infeasible":
+                continue
+            budget = build_epsilon_budget(cfg.eps_dsp, cfg.protocol.n_max, len(cfg.protocol.sources))
+            for target in (0, 1):
+                methods.clear()
+                with pytest.raises(InfeasibleSessionError):
+                    minimize_detection_count(pub, cfg.protocol, budget, target)
+                assert len(methods) <= 2 and set(methods) == {"SLSQP"}, (row[:3], target, methods)
+                checked += 1
+        assert checked == 4
 
     def test_dual_bound_closes_the_gap(self, golden_sessions):
         # the first start's multipliers certify its optimum, so the search

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from decoyqkd import (
+from decoyqkd.stats import (
     RngStream,
     binary_entropy,
     chernoff_binomial_tail_bound,
