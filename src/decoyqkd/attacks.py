@@ -3,7 +3,9 @@
 The eavesdropper sees photon numbers but never the source, so a session
 factors into: photon-number sampling per source, attack-controlled
 detections per photon class, a source split driven by the photon-number
-posterior, and basis sifting.  The block-correlated attack decides whole
+posterior, and basis sifting.  The config-only quantities (class pmfs,
+yields, posteriors) come from channel as one array per call; only the
+random draws go class by class.  The block-correlated attack decides whole
 blocks of tau^2 pulses at once, which multiplies the conditional variance
 of the detection counts by tau^2 while leaving every mean unchanged.
 
@@ -13,13 +15,14 @@ exactly; the expected overflow is bounded by the config tail budget.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .channel import ChannelParams, ProtocolConfig, photon_yield, source_posteriors
-from .stats import as_generator
+from .channel import (ChannelParams, ProtocolConfig, UndefinedPosteriorError, photon_number_pmf,
+                      photon_yield, source_posteriors)
+from .stats import RngStream, as_generator
 
 __all__ = [
     "AttackSpec",
@@ -69,11 +72,13 @@ class AttackSpec:
         if (self.kind == "custom") != (self.custom_law is not None):
             raise ValueError("custom_law must be supplied exactly when kind='custom'")
 
-    def yield_for(self, n: int, channel: ChannelParams) -> float:
-        """Per-photon-number detection probability under this attack."""
-        if self.yields_override is not None and n in self.yields_override:
-            return float(self.yields_override[n])
-        return photon_yield(n, channel)
+    def yield_for(self, n, channel: ChannelParams):
+        """Detection probability of an n-photon pulse under this attack (n: int or array)."""
+        ns = np.atleast_1d(n)
+        y = photon_yield(ns, channel)
+        for m, override in (self.yields_override or {}).items():
+            y[ns == m] = override
+        return y if np.ndim(n) else float(y[0])
 
 
 @dataclass(frozen=True)
@@ -160,9 +165,8 @@ def sample_photon_counts(config: ProtocolConfig, rng) -> tuple[np.ndarray, np.nd
     """
     gen = as_generator(rng)
     K_i = gen.multinomial(config.K, config.qs)
-    k_ni = np.zeros((len(config.sources), config.n_max + 2), dtype=np.int64)
-    for j, s in enumerate(config.sources):
-        k_ni[j] = gen.multinomial(K_i[j], config.photon_class_pmf(s.mu))
+    class_pmfs = config.photon_class_pmf(config.mus)
+    k_ni = np.array([gen.multinomial(k, pmf) for k, pmf in zip(K_i.tolist(), class_pmfs)], dtype=np.int64)
     return K_i.astype(np.int64), k_ni
 
 
@@ -186,10 +190,10 @@ def attack_detections(attack: AttackSpec, k_n, channel: ChannelParams, rng) -> n
         return d
     d = np.zeros_like(k_n)
     tau2 = attack.tau * attack.tau if attack.kind == "block_correlated" else 1
-    for n, k in enumerate(k_n.tolist()):
+    yields = attack.yield_for(np.arange(len(k_n)), channel).tolist()
+    for n, (k, y) in enumerate(zip(k_n.tolist(), yields)):
         if k == 0:
             continue
-        y = attack.yield_for(n, channel)
         if tau2 == 1:
             d[n] = gen.binomial(k, y)
         else:
@@ -207,11 +211,12 @@ def split_by_source(d_n, sources, rng) -> np.ndarray:
     """
     gen = as_generator(rng)
     d_n = np.asarray(d_n, dtype=np.int64)
+    post = source_posteriors(np.arange(len(d_n)), sources)
+    if np.any((d_n > 0) & ~post.any(axis=1)):
+        raise UndefinedPosteriorError("detections in a photon class that no source can emit")
     out = np.zeros((len(d_n), len(sources)), dtype=np.int64)
-    for n, d in enumerate(d_n.tolist()):
-        if d == 0:
-            continue
-        out[n] = gen.multinomial(d, source_posteriors(n, sources))
+    for n in np.flatnonzero(d_n).tolist():
+        out[n] = gen.multinomial(d_n[n], post[n])
     return out
 
 
@@ -225,8 +230,6 @@ def sift(d_n, rng) -> tuple[np.ndarray, int]:
 
 def simulate_session(config: ProtocolConfig, attack: AttackSpec, rng) -> SessionRecord:
     """Run one full session; deterministic given (config, attack, rng stream)."""
-    from .stats import RngStream
-
     seed = (rng.seed, rng.stream_id) if isinstance(rng, RngStream) else None
     gen = as_generator(rng)
     K_i, k_ni = sample_photon_counts(config, gen)
@@ -269,7 +272,6 @@ class VarianceReport:
     labels: tuple[str, ...]
     sigma_i: np.ndarray
     var_ni: np.ndarray
-    config_snapshot: dict = field(repr=False, default_factory=dict)
 
     def sigma(self, label: str) -> float:
         return float(self.sigma_i[self.labels.index(label)])
@@ -288,25 +290,10 @@ def analytic_variance_report(config: ProtocolConfig, tau: int) -> VarianceReport
     """
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
-    S = len(config.sources)
-    N = config.n_max + 1
-    var_ni = np.zeros((N, S))
-    from .channel import photon_number_pmf
-
-    for n in range(N):
-        p_n = photon_number_pmf(n, config.sources)
-        if p_n == 0.0:
-            continue
-        y_n = photon_yield(n, config.channel)
-        q_ni = source_posteriors(n, config.sources)
-        var_ni[n] = ((tau * tau - 1) * q_ni * (1 - y_n) + (1 - q_ni * y_n * p_n)) * q_ni * y_n * p_n * config.K
+    ns = np.arange(config.n_max + 1)
+    q_ni = source_posteriors(ns, config.sources)  # (N, S) in C order, as the sum below needs
+    p_n = photon_number_pmf(ns, config.sources)[:, None]
+    y_n = photon_yield(ns, config.channel)[:, None]
+    var_ni = ((tau * tau - 1) * q_ni * (1 - y_n) + (1 - q_ni * y_n * p_n)) * q_ni * y_n * p_n * config.K
     sigma_i = np.sqrt(var_ni.sum(axis=0)) / (config.qs * config.K)
-    snapshot = {
-        "K": config.K,
-        "n_max": config.n_max,
-        "eta": config.channel.eta,
-        "y0": config.channel.y0,
-        "sources": [(s.label, s.mu, s.q) for s in config.sources],
-    }
-    return VarianceReport(tau=int(tau), labels=config.labels, sigma_i=sigma_i, var_ni=var_ni,
-                          config_snapshot=snapshot)
+    return VarianceReport(tau=int(tau), labels=config.labels, sigma_i=sigma_i, var_ni=var_ni)

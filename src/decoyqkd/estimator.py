@@ -27,8 +27,8 @@ import numpy as np
 from scipy import optimize as _opt
 from scipy import stats as _st
 
-from .channel import ProtocolConfig, source_posteriors
-from .stats import binary_entropy, chernoff_multiplier
+from .channel import ProtocolConfig, photon_number_pmf, photon_yield, source_posteriors
+from .stats import binary_entropy, chernoff_multiplier, poisson_pmf
 
 __all__ = [
     "EpsilonBudget",
@@ -258,7 +258,8 @@ class MinimizationResult:
     """Outcome of one detection-count minimization.
 
     dual_bound is the best Lagrangian lower bound found (detections): no
-    point inside the bands has a smaller d_target.
+    point inside the bands has a smaller d_target.  A max_iterations
+    result reports 0, the bound its conservative d_star = 0 rests on.
     """
 
     d_star: float
@@ -278,18 +279,10 @@ def _constraint_matrices(config: ProtocolConfig,
     can emit (vacuum-only source sets) get zero columns: they contribute to
     no constraint and attract no detections.
     """
-    from .channel import UndefinedPosteriorError
-
     N = config.n_max + 1
     if budget.n_max < config.n_max:
         raise ValueError(f"budget covers classes up to {budget.n_max}, config needs {config.n_max}")
-    S = len(config.sources)
-    Q = np.zeros((S, N))
-    for n in range(N):
-        try:
-            Q[:, n] = source_posteriors(n, config.sources)
-        except UndefinedPosteriorError:
-            pass
+    Q = np.ascontiguousarray(source_posteriors(np.arange(N), config.sources).T)
     Q, A, B = _envelope(Q, budget.c_n[:N], budget.b_n[:N])
     return Q, A, B @ np.ones(N)  # beta[i]: the row sums of the per-class offsets
 
@@ -301,12 +294,9 @@ def _config_terms(config: ProtocolConfig, budget: EpsilonBudget) -> tuple:
     pmf p[n] and the honest counts' roots sqrt(y_n p_n K) of the start grid;
     estimate_session builds them once for both targets.
     """
-    from .channel import photon_number_pmf, photon_yield
-
-    N = config.n_max + 1
-    p = np.array([photon_number_pmf(n, config.sources) for n in range(N)])
-    y = np.array([photon_yield(n, config.channel) for n in range(N)])
-    honest = np.sqrt(np.clip(y * p * config.K, 0.0, None))
+    ns = np.arange(config.n_max + 1)
+    p = photon_number_pmf(ns, config.sources)
+    honest = np.sqrt(np.clip(photon_yield(ns, config.channel) * p * config.K, 0.0, None))
     return (*_constraint_matrices(config, budget), p, honest)
 
 
@@ -515,7 +505,7 @@ def _minimize_count(public, config: ProtocolConfig, terms: tuple, target: int) -
         x = X * scale
         return MinimizationResult(float(x[target] ** 2), x, "optimal",
                                   _relative_residual(x, system, config.K), lower * D_E)
-    return MinimizationResult(0.0, np.zeros(N), "max_iterations", least, lower * D_E)
+    return MinimizationResult(0.0, np.zeros(N), "max_iterations", least, 0.0)
 
 
 def _target_axis_window(z_cap: float, qt: float, at: float, r_up: np.ndarray,
@@ -780,23 +770,16 @@ def iid_baseline_estimate(public, config: ProtocolConfig, eps_bar: float) -> tup
     Z = np.asarray(public.D_iE, dtype=float) / K_i
     sigma = np.sqrt(np.clip(Z * (1.0 - Z), 0.0, None) / (config.qs * config.K))
     N = config.n_max + 1
-    from .stats import poisson_pmf
-
-    P = np.array([[poisson_pmf(n, s.mu) for n in range(N)] for s in config.sources])
+    P = poisson_pmf(np.arange(N), config.mus[:, None])
     A_ub = np.vstack([P, -P])
     b_ub = np.concatenate([Z + c * sigma, -(Z - c * sigma)])
-    y0_min = y1_min = None
-    for tgt in (0, 1):
-        cost = np.zeros(N)
-        cost[tgt] = 1.0
+    y_min = []
+    for cost in np.eye(N)[:2]:  # minimize y_0, then y_1
         sol = _opt.linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=[(0.0, 1.0)] * N, method="highs")
         if not sol.success:
             raise InfeasibleSessionError(f"baseline linear program infeasible: {sol.message}")
-        if tgt == 0:
-            y0_min = float(sol.fun)
-        else:
-            y1_min = float(sol.fun)
-    return y0_min, y1_min
+        y_min.append(float(sol.fun))
+    return y_min[0], y_min[1]
 
 
 def bayes_dark_posterior(D_U: int, K_U: int, tau: int, grid: Sequence[float]) -> np.ndarray:

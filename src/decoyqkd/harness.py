@@ -81,11 +81,11 @@ def _protocol_from_dict(d: dict) -> ProtocolConfig:
                             y0=float(_require(ch, "y0", "channel")))
     kwargs = {}
     if d.get("n_max") is not None:
-        kwargs["n_max"] = int(d["n_max"])
+        kwargs["n_max"] = _count(d["n_max"], "protocol.n_max")
     if d.get("tail_budget") is not None:
         kwargs["tail_budget"] = float(d["tail_budget"])
     cfg = ProtocolConfig(sources=tuple(sources), channel=channel,
-                         K=int(_require(d, "K", "protocol")), **kwargs)
+                         K=_count(_require(d, "K", "protocol"), "protocol.K"), **kwargs)
     mus = sorted(s.mu for s in cfg.sources)
     if mus[0] != 0.0 or len({m for m in mus if m > 0}) < 2:
         raise ConfigError(
@@ -102,7 +102,7 @@ def _attack_from_dict(d: dict) -> AttackSpec:
     overrides = None
     if d.get("yields_override") is not None:
         overrides = {int(k): float(v) for k, v in d["yields_override"].items()}
-    return AttackSpec(kind=kind, tau=int(d.get("tau", 1)), yields_override=overrides)
+    return AttackSpec(kind=kind, tau=_count(d.get("tau", 1), "attack.tau"), yields_override=overrides)
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
@@ -116,8 +116,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
             attack=_attack_from_dict(_require(d, "attack", "config")),
             eps_dsp=float(_require(d, "eps_dsp", "config")),
             key_params=KeyRateParams(**{k: float(v) for k, v in kp.items()}),
-            trials=int(d.get("trials", 1)),
-            seed=int(_require(d, "seed", "config")),
+            trials=_count(d.get("trials", 1), "trials"),
+            seed=_count(_require(d, "seed", "config"), "seed"),
             output_path=str(d.get("output_path", "")),
         )
     except ConfigError:
@@ -175,9 +175,11 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _count(value, field: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+    """A nonnegative integral JSON number (1e10 too) as an int; anything else raises ConfigError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer()) or value < 0):
         raise ConfigError(f"{field} must be a nonnegative integer, got {value!r}")
-    return value
+    return int(value)
 
 
 def load_session(path) -> SessionPublic:

@@ -52,19 +52,28 @@ def as_generator(rng) -> np.random.Generator:
     raise TypeError(f"cannot interpret {rng!r} as a random generator")
 
 
-def poisson_pmf(n: int, mu: float) -> float:
+def libm(fn, x) -> np.ndarray:
+    """fn, a math-module function, on every entry of x (numpy's SIMD versions differ in the last bit)."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def poisson_pmf(n, mu):
     """Probability that a coherent pulse of mean photon number mu carries n photons.
 
     Evaluated in log space; exact 1.0 at (0, 0) and 0.0 for n >= 1 when mu = 0.
+    n and mu broadcast against each other: scalars give a float, arrays an
+    array of the broadcast shape.
     """
-    if n < 0 or n != int(n):
+    n, mu = np.asarray(n), np.asarray(mu, dtype=float)
+    if (n < 0).any() or (n != n // 1).any():
         raise ValueError(f"photon count must be a nonnegative integer, got {n}")
-    if not (mu >= 0) or math.isinf(mu):
+    if not (mu >= 0).all() or np.isinf(mu).any():
         raise ValueError(f"mean photon number must be finite and >= 0, got {mu}")
-    n = int(n)
-    if mu == 0.0:
-        return 1.0 if n == 0 else 0.0
-    return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
+    emits = mu > 0.0
+    log_mu = libm(math.log, np.where(emits, mu, 1.0))
+    p = np.where(emits, libm(math.exp, n * log_mu - mu - libm(math.lgamma, n + 1)), n == 0)
+    return float(p) if p.ndim == 0 else p
 
 
 def chernoff_multiplier(epsilon: float) -> float:

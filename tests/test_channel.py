@@ -1,22 +1,29 @@
 """Tests for the source/channel model."""
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from decoyqkd.attacks import analytic_variance_report
 from decoyqkd.channel import (
     ChannelParams,
     ProtocolConfig,
     SourceSpec,
     UndefinedPosteriorError,
+    _tail_mass,
     default_n_max,
     photon_number_pmf,
     photon_yield,
     source_posteriors,
     total_yield,
 )
+from decoyqkd.harness import load_config
 from decoyqkd.stats import poisson_pmf
+
+REPO = Path(__file__).resolve().parent.parent
 
 # three-source layout used throughout: vacuum + weak decoy + signal
 U = SourceSpec("U", 0.0, 0.01)
@@ -123,10 +130,13 @@ class TestSourcePosterior:
 
 class TestProtocolConfig:
     def test_default_cutoff(self):
-        cfg = ProtocolConfig(sources=TRIO, channel=CH, K=10**10)
-        assert cfg.n_max == default_n_max(10**10, TRIO)
-        assert 2 <= cfg.n_max <= 40
-        assert cfg.expected_overflow <= cfg.tail_budget
+        pinned = {"bright": (9, 0.00010258020930997778), "fig1": (12, 0.00011866923944466048)}
+        for name, (n_max, overflow) in pinned.items():
+            cfg = load_config(REPO / "configs" / f"{name}.json").protocol
+            assert (cfg.n_max, cfg.expected_overflow) == (n_max, overflow)
+            assert cfg.expected_overflow <= cfg.tail_budget
+            # minimal: one class fewer would exceed the tail budget
+            assert cfg.K * _reference_tail(cfg.n_max - 1, cfg.sources) >= cfg.tail_budget
 
     def test_cutoff_cap(self):
         bright = (SourceSpec("U", 0.0, 0.01), SourceSpec("V", 1.0, 0.09), SourceSpec("W", 6.0, 0.9))
@@ -150,3 +160,83 @@ class TestProtocolConfig:
             pmf = cfg.photon_class_pmf(s.mu)
             assert len(pmf) == cfg.n_max + 2
             np.testing.assert_allclose(pmf.sum(), 1.0, atol=1e-12)
+
+
+def _reference_tail(n, sources):
+    return sum(s.q * stats.poisson.sf(n, s.mu) for s in sources if s.mu > 0)
+
+
+def _reference_posterior(n, sources):
+    logw = np.array([math.log(s.q) - s.mu + n * math.log(s.mu) if s.mu > 0
+                     else (math.log(s.q) if n == 0 else -math.inf) for s in sources])
+    if not np.isfinite(logw.max()):
+        return np.zeros(len(sources))
+    w = np.exp(logw - logw.max())
+    return w / w.sum()
+
+
+def _reference_poisson(n, mu):
+    return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1)) if mu > 0 else float(n == 0)
+
+
+def _reference_pmf(n, sources):
+    return math.fsum(s.q * _reference_poisson(n, s.mu) for s in sources)
+
+
+def _reference_class_pmf(n_max, mu):
+    probs = np.array([_reference_poisson(n, mu) for n in range(n_max + 1)])
+    total = probs.sum()
+    if total > 1.0:
+        probs, total = probs / total, 1.0
+    return np.append(probs, 1.0 - total)
+
+
+def _random_decoy_sets(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k = int(rng.integers(2, 5))
+        mus = [0.0] + sorted(rng.uniform(0.01, 3.0, k).tolist())
+        qs = rng.dirichlet(np.ones(k + 1)).tolist()
+        qs[-1] = 1.0 - math.fsum(qs[:-1])
+        yield tuple(SourceSpec(f"S{j}", mu, q) for j, (mu, q) in enumerate(zip(mus, qs)))
+
+
+# TRIO with CH at K = 1e10 is fig1.json; with the bright channel at K = 1e6 the
+# second set is bright.json
+SOURCE_SETS = [TRIO, load_config(REPO / "configs" / "bright.json").protocol.sources,
+               *_random_decoy_sets(2013, 12)]
+
+
+class TestArrayViews:
+    """The array views equal the per-class scalar formulas to the last bit."""
+
+    NS = np.arange(42)
+
+    @pytest.mark.parametrize("sources", SOURCE_SETS)
+    def test_mixture_views(self, sources):
+        assert np.array_equal(source_posteriors(self.NS, sources),
+                              [_reference_posterior(n, sources) for n in self.NS])
+        assert np.array_equal(photon_number_pmf(self.NS, sources),
+                              [_reference_pmf(n, sources) for n in self.NS])
+        assert np.array_equal(_tail_mass(self.NS, sources),
+                              [_reference_tail(n, sources) for n in self.NS])
+        cfg = ProtocolConfig(sources=sources, channel=CH, K=10**10)
+        assert np.array_equal(cfg.photon_class_pmf(cfg.mus),
+                              [_reference_class_pmf(cfg.n_max, s.mu) for s in sources])
+
+    @pytest.mark.parametrize("sources", SOURCE_SETS)
+    def test_variance_report(self, sources):
+        # the reference fills var_ni row by row and sums it over classes in
+        # that (C) order; another summation order changes the last bits
+        for channel, K in ((CH, 10**10), (ChannelParams(0.1, 1e-5), 10**6)):
+            cfg = ProtocolConfig(sources=sources, channel=channel, K=K)
+            for tau in (1, 10):
+                var_ni = np.zeros((cfg.n_max + 1, len(sources)))
+                for n in range(cfg.n_max + 1):
+                    p_n = _reference_pmf(n, sources)
+                    y_n = channel.y0 if n == 0 else -math.expm1(n * math.log1p(-channel.eta))
+                    q = _reference_posterior(n, sources)
+                    var_ni[n] = ((tau * tau - 1) * q * (1 - y_n) + (1 - q * y_n * p_n)) * q * y_n * p_n * K
+                report = analytic_variance_report(cfg, tau)
+                assert np.array_equal(report.var_ni, var_ni)
+                assert np.array_equal(report.sigma_i, np.sqrt(var_ni.sum(axis=0)) / (cfg.qs * K))

@@ -307,6 +307,7 @@ class TestMinimizer:
             r = minimize_detection_count(pub, cfg, budget, target)
             assert r.status == "max_iterations" and r.d_star == 0.0
             assert FEASIBILITY_TOL < r.residual <= ABORT_TOL
+            assert r.dual_bound <= r.d_star
 
     def test_grid_oracle_detects_infeasibility(self):
         with warnings.catch_warnings():

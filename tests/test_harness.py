@@ -108,6 +108,30 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             config_from_dict(small_config_dict(eps_dsp=1.5))
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("protocol", "K", 1000000.7),
+        ("protocol", "K", True),
+        ("protocol", "K", "1000000"),
+        ("protocol", "n_max", 9.6),
+        ("attack", "tau", 2.5),
+        (None, "trials", 3.9),
+        (None, "seed", 1.5),
+        (None, "seed", -1),
+    ])
+    def test_malformed_integer_rejected(self, section, key, value):
+        d = small_config_dict()
+        (d[section] if section else d)[key] = value
+        field = f"{section}.{key}" if section else key
+        with pytest.raises(ConfigError, match=rf"^{field} must be a nonnegative integer"):
+            config_from_dict(d)
+
+    def test_integral_numbers_accepted(self):
+        d = small_config_dict(seed=7.0)
+        d["protocol"]["K"] = 1e10
+        cfg = config_from_dict(d)
+        assert cfg.protocol.K == 10**10 and type(cfg.protocol.K) is int
+        assert cfg.seed == 7 and type(cfg.seed) is int
+
     def test_yields_override_keys(self):
         cfg = config_from_dict(small_config_dict(
             attack={"kind": "iid", "yields_override": {"1": 0.0, "2": 0.5}}))
