@@ -4,8 +4,8 @@ The eavesdropper sees photon numbers but never the source, so a session
 factors into: photon-number sampling per source, attack-controlled
 detections per photon class, a source split driven by the photon-number
 posterior, and basis sifting.  The config-only quantities (class pmfs,
-yields, posteriors) come from channel as one array per call; only the
-random draws go class by class.  The block-correlated attack decides whole
+yields, posteriors) come from channel as one array per call, and each step
+is one random draw over all classes.  The block-correlated attack decides
 blocks of tau^2 pulses at once, which multiplies the conditional variance
 of the detection counts by tau^2 while leaving every mean unchanged.
 
@@ -165,19 +165,16 @@ def sample_photon_counts(config: ProtocolConfig, rng) -> tuple[np.ndarray, np.nd
     """
     gen = as_generator(rng)
     K_i = gen.multinomial(config.K, config.qs)
-    class_pmfs = config.photon_class_pmf(config.mus)
-    k_ni = np.array([gen.multinomial(k, pmf) for k, pmf in zip(K_i.tolist(), class_pmfs)], dtype=np.int64)
-    return K_i.astype(np.int64), k_ni
+    return K_i, gen.multinomial(K_i, config.photon_class_pmf(config.mus))
 
 
 def attack_detections(attack: AttackSpec, k_n, channel: ChannelParams, rng) -> np.ndarray:
     """Sample the detection counts d_n for each photon class given pulse counts k_n.
 
-    iid/none: d_n ~ Binomial(k_n, y_n).  Block attack: floor(k_n / tau^2)
-    blocks are detected all-or-nothing with probability y_n and the
-    remainder pulses are decided i.i.d., so the conditional mean is exactly
-    y_n k_n and the conditional variance is tau^2 y_n (1 - y_n) k_n
-    whenever tau^2 divides k_n.
+    Blocks of tau^2 pulses (tau = 1 for none/iid) are detected all-or-nothing
+    with probability y_n and the k_n mod tau^2 remainder pulses one by one,
+    drawn class by class, blocks first: mean y_n k_n, and variance
+    tau^2 y_n (1 - y_n) k_n whenever tau^2 divides k_n.
     """
     gen = as_generator(rng)
     k_n = np.asarray(k_n, dtype=np.int64)
@@ -188,18 +185,10 @@ def attack_detections(attack: AttackSpec, k_n, channel: ChannelParams, rng) -> n
         if d.shape != k_n.shape or np.any(d < 0) or np.any(d > k_n):
             raise AttackContractError("custom law must return counts with 0 <= d_n <= k_n")
         return d
-    d = np.zeros_like(k_n)
     tau2 = attack.tau * attack.tau if attack.kind == "block_correlated" else 1
-    yields = attack.yield_for(np.arange(len(k_n)), channel).tolist()
-    for n, (k, y) in enumerate(zip(k_n.tolist(), yields)):
-        if k == 0:
-            continue
-        if tau2 == 1:
-            d[n] = gen.binomial(k, y)
-        else:
-            blocks, rem = divmod(k, tau2)
-            d[n] = tau2 * gen.binomial(blocks, y) + gen.binomial(rem, y)
-    return d
+    y = attack.yield_for(np.arange(len(k_n)), channel)
+    draws = gen.binomial(np.concatenate(np.divmod(k_n[:, None], tau2), axis=1), y[:, None])
+    return tau2 * draws[:, 0] + draws[:, 1]
 
 
 def split_by_source(d_n, sources, rng) -> np.ndarray:
@@ -214,17 +203,12 @@ def split_by_source(d_n, sources, rng) -> np.ndarray:
     post = source_posteriors(np.arange(len(d_n)), sources)
     if np.any((d_n > 0) & ~post.any(axis=1)):
         raise UndefinedPosteriorError("detections in a photon class that no source can emit")
-    out = np.zeros((len(d_n), len(sources)), dtype=np.int64)
-    for n in np.flatnonzero(d_n).tolist():
-        out[n] = gen.multinomial(d_n[n], post[n])
-    return out
+    return gen.multinomial(d_n, post)  # a class with no detections draws nothing
 
 
 def sift(d_n, rng) -> tuple[np.ndarray, int]:
-    """Basis sifting: each detection survives with probability 1/2, per class."""
-    gen = as_generator(rng)
-    d_n = np.asarray(d_n, dtype=np.int64)
-    f_n = np.array([gen.binomial(d, 0.5) if d > 0 else 0 for d in d_n.tolist()], dtype=np.int64)
+    """Basis sifting: each detection survives with probability 1/2, independently."""
+    f_n = as_generator(rng).binomial(np.asarray(d_n, dtype=np.int64), 0.5)
     return f_n, int(f_n.sum())
 
 

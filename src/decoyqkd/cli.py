@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import AttackSpec, analytic_variance_report, simulate_session
+from .attacks import analytic_variance_report, simulate_session
 from .channel import ProtocolConfig
 from .estimator import (
     InfeasibleSessionError,
@@ -33,6 +33,8 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     artifact_meta,
+    config_from_dict,
+    config_to_dict,
     load_config,
     load_session,
     write_csv_artifact,
@@ -86,18 +88,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    from dataclasses import replace
-
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.trials is not None:
-        cfg = replace(cfg, trials=args.trials)
-    if args.eps is not None:
-        cfg = replace(cfg, eps_dsp=args.eps)
-    if args.tau is not None:
-        cfg = replace(cfg, attack=AttackSpec(kind=cfg.attack.kind, tau=args.tau,
-                                             yields_override=cfg.attack.yields_override))
-    return cfg
+    """Write the given --seed/--trials/--eps/--tau into the config and re-run its checks."""
+    d = config_to_dict(cfg)
+    given = []
+    for flag, section, key in (("seed", d, "seed"), ("trials", d, "trials"),
+                               ("eps", d, "eps_dsp"), ("tau", d["attack"], "tau")):
+        value = getattr(args, flag)
+        if value is not None:
+            section[key] = value
+            given.append(f"--{flag}")
+    if not given:
+        return cfg
+    try:
+        return config_from_dict(d)
+    except ConfigError as exc:
+        raise ConfigError(f"{', '.join(given)}: {exc}") from exc
 
 
 def _out_dir(cfg: ExperimentConfig, args) -> Path:
@@ -238,6 +243,8 @@ def cmd_soundness(cfg: ExperimentConfig, out: Path, workers: int) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.workers < 1:
+            raise ConfigError(f"--workers: workers must be >= 1, got {args.workers}")
         cfg = _apply_overrides(load_config(args.config), args)
         out = _out_dir(cfg, args)
         if args.command == "simulate":

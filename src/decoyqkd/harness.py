@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,7 +56,7 @@ class ExperimentConfig:
 
 
 def _check_keys(obj: dict, allowed: set[str], context: str) -> None:
-    unknown = set(obj) - allowed
+    unknown = set(_expect(obj, dict, context)) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {context}")
 
@@ -68,22 +69,23 @@ def _require(obj: dict, key: str, context: str):
 
 def _protocol_from_dict(d: dict) -> ProtocolConfig:
     _check_keys(d, {"sources", "channel", "K", "n_max", "tail_budget"}, "protocol")
-    raw_sources = _require(d, "sources", "protocol")
+    raw_sources = _expect(_require(d, "sources", "protocol"), list, "protocol.sources")
     sources = []
     for idx, s in enumerate(raw_sources):
-        _check_keys(s, {"label", "mu", "q"}, f"protocol.sources[{idx}]")
-        sources.append(SourceSpec(label=str(_require(s, "label", "source")),
-                                  mu=float(_require(s, "mu", "source")),
-                                  q=float(_require(s, "q", "source"))))
+        context = f"protocol.sources[{idx}]"
+        _check_keys(s, {"label", "mu", "q"}, context)
+        sources.append(SourceSpec(label=str(_require(s, "label", context)),
+                                  mu=_number(_require(s, "mu", context), f"{context}.mu"),
+                                  q=_number(_require(s, "q", context), f"{context}.q")))
     ch = _require(d, "channel", "protocol")
     _check_keys(ch, {"eta", "y0"}, "protocol.channel")
-    channel = ChannelParams(eta=float(_require(ch, "eta", "channel")),
-                            y0=float(_require(ch, "y0", "channel")))
+    channel = ChannelParams(eta=_number(_require(ch, "eta", "protocol.channel"), "protocol.channel.eta"),
+                            y0=_number(_require(ch, "y0", "protocol.channel"), "protocol.channel.y0"))
     kwargs = {}
     if d.get("n_max") is not None:
         kwargs["n_max"] = _count(d["n_max"], "protocol.n_max")
     if d.get("tail_budget") is not None:
-        kwargs["tail_budget"] = float(d["tail_budget"])
+        kwargs["tail_budget"] = _number(d["tail_budget"], "protocol.tail_budget")
     cfg = ProtocolConfig(sources=tuple(sources), channel=channel,
                          K=_count(_require(d, "K", "protocol"), "protocol.K"), **kwargs)
     mus = sorted(s.mu for s in cfg.sources)
@@ -101,7 +103,10 @@ def _attack_from_dict(d: dict) -> AttackSpec:
         raise ConfigError("attack kind 'custom' is only available through the API")
     overrides = None
     if d.get("yields_override") is not None:
-        overrides = {int(k): float(v) for k, v in d["yields_override"].items()}
+        overrides = {}
+        for k, v in _expect(d["yields_override"], dict, "attack.yields_override").items():
+            field = f"attack.yields_override.{k}"
+            overrides[_count(int(k) if str(k).isdecimal() else k, field)] = _number(v, field)
     return AttackSpec(kind=kind, tau=_count(d.get("tau", 1), "attack.tau"), yields_override=overrides)
 
 
@@ -114,8 +119,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         return ExperimentConfig(
             protocol=_protocol_from_dict(_require(d, "protocol", "config")),
             attack=_attack_from_dict(_require(d, "attack", "config")),
-            eps_dsp=float(_require(d, "eps_dsp", "config")),
-            key_params=KeyRateParams(**{k: float(v) for k, v in kp.items()}),
+            eps_dsp=_number(_require(d, "eps_dsp", "config"), "eps_dsp"),
+            key_params=KeyRateParams(**{k: _number(v, f"key_params.{k}") for k, v in kp.items()}),
             trials=_count(d.get("trials", 1), "trials"),
             seed=_count(_require(d, "seed", "config"), "seed"),
             output_path=str(d.get("output_path", "")),
@@ -166,8 +171,6 @@ def _read_json(path, what: str):
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a config file; errors carry line/column or the invariant."""
     raw = _read_json(path, "config")
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be an object")
     try:
         return config_from_dict(raw)
     except ConfigError as exc:
@@ -182,6 +185,21 @@ def _count(value, field: str) -> int:
     return int(value)
 
 
+def _number(value, field: str) -> float:
+    """A finite JSON number as a float; booleans, strings, inf and nan raise ConfigError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{field} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _expect(value, kind: type, context: str):
+    """value itself if it is a JSON object (kind dict) or array (kind list); else ConfigError."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{context} must be {'an object' if kind is dict else 'a list'}, got {value!r}")
+    return value
+
+
 def load_session(path) -> SessionPublic:
     """Read the public transcript ``session.public`` from a JSON file.
 
@@ -193,19 +211,13 @@ def load_session(path) -> SessionPublic:
     node = _read_json(path, "transcript")
     try:
         for key, context in (("session", "transcript"), ("public", "session")):
-            if not isinstance(node, dict):
-                raise ConfigError(f"{context} must be an object")
-            node = _require(node, key, context)
+            node = _require(_expect(node, dict, context), key, context)
         context = "session.public"
-        if not isinstance(node, dict):
-            raise ConfigError(f"{context} must be an object")
         _check_keys(node, {"K", "K_i", "D_iE", "D_E", "F_E"}, context)
         fields = {key: _count(_require(node, key, context), f"{context}.{key}")
                   for key in ("K", "D_E", "F_E")}
         for key in ("K_i", "D_iE"):
-            values = _require(node, key, context)
-            if not isinstance(values, list):
-                raise ConfigError(f"{context}.{key} must be a list, got {values!r}")
+            values = _expect(_require(node, key, context), list, f"{context}.{key}")
             fields[key] = tuple(_count(v, f"{context}.{key}[{j}]") for j, v in enumerate(values))
         return SessionPublic(**fields)
     except ConfigError as exc:

@@ -240,6 +240,39 @@ class TestSimulateSession:
         assert int(s.k_n.sum()) == cfg.K
 
 
+class TestDrawOrder:
+    """Literal sessions: any change to the order of the random draws shows here."""
+
+    ATTACKS = {"none": AttackSpec("none"),
+               "iid": AttackSpec("iid", yields_override={1: 0.9, 2: 0.0}),
+               "block": AttackSpec("block_correlated", tau=3)}  # blocks and remainders both nonzero
+    # (k_n, d_nE, d_niE, f_nE) for streams 0 and 1 of seed 5
+    EXPECTED = {
+        ("none", 0): ([293, 90, 15, 1, 1], [13, 46, 12, 0, 1],
+                      [[1, 5, 7], [0, 5, 41], [0, 0, 12], [0, 0, 0], [0, 0, 1]], [6, 23, 3, 0, 0]),
+        ("none", 1): ([289, 93, 16, 2, 0], [10, 48, 10, 2, 0],
+                      [[1, 3, 6], [0, 8, 40], [0, 1, 9], [0, 0, 2], [0, 0, 0]], [3, 22, 8, 1, 0]),
+        ("iid", 0): ([293, 90, 15, 1, 1], [13, 84, 0, 1, 1],
+                     [[5, 5, 3], [0, 8, 76], [0, 0, 0], [0, 0, 1], [0, 0, 1]], [4, 40, 0, 0, 0]),
+        ("iid", 1): ([289, 93, 16, 2, 0], [10, 85, 0, 2, 0],
+                     [[3, 3, 4], [0, 11, 74], [0, 0, 0], [0, 0, 2], [0, 0, 0]], [6, 33, 0, 0, 0]),
+        ("block", 0): ([293, 90, 15, 1, 1], [9, 27, 11, 1, 1],
+                       [[1, 3, 5], [0, 1, 26], [0, 0, 11], [0, 0, 1], [0, 0, 1]], [2, 11, 7, 1, 1]),
+        ("block", 1): ([289, 93, 16, 2, 0], [0, 48, 14, 2, 0],
+                       [[0, 0, 0], [0, 8, 40], [0, 1, 13], [0, 0, 2], [0, 0, 0]], [0, 20, 6, 2, 0]),
+    }
+
+    @pytest.mark.parametrize("attack, stream", sorted(EXPECTED))
+    def test_pinned_session(self, attack, stream):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cfg = ProtocolConfig(sources=BRIGHT_TRIO, channel=ChannelParams(eta=0.5, y0=0.05),
+                                 K=400, n_max=3)
+        hidden = simulate_session(cfg, self.ATTACKS[attack], RngStream(5, stream)).to_dict()["hidden"]
+        got = tuple(hidden[key] for key in ("k_n", "d_nE", "d_niE", "f_nE"))
+        assert got == self.EXPECTED[attack, stream]
+
+
 class TestAnalyticVariance:
     def test_tau1_matches_binomial_rate_spread(self):
         # tau=1 reduces to sqrt(Y(mu)(1-Y(mu)) / (q K)) within 1%

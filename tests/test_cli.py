@@ -162,6 +162,19 @@ class TestErrorPaths:
         assert d1["meta"]["seed"] == 99 and d2["meta"]["seed"] == 11
         assert d1["session"] != d2["session"]
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--seed", "-1", "seed"),
+        ("--trials", "0", "trials"),
+        ("--eps", "2", "eps_dsp"),
+        ("--tau", "0", "tau"),
+        ("--workers", "-2", "workers"),
+    ])
+    def test_bad_override_names_flag_and_field(self, flag, value, field, config_path, tmp_path, capsys):
+        rc = main(["soundness", "--config", str(config_path), "--out", str(tmp_path / "o"), flag, value])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{flag}:" in err and field in err
+
     @pytest.mark.parametrize("mutate, field", [
         (lambda doc: doc["session"]["public"].pop("K_i"), "'K_i'"),
         (lambda doc: doc["session"].pop("public"), "'public'"),

@@ -1,4 +1,5 @@
 """Tests for the estimation procedures: budgets, bounds, solver, baselines."""
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -598,6 +599,39 @@ class TestCertifiedValues:
                 assert abs(r.d_star - r.dual_bound) <= 1e-10 * max(r.d_star, 1.0), (row[:3], target)
                 checked += 1
         assert checked == 24
+
+
+class TestMetamorphic:
+    """Relations every correct certificate keeps, on 5 sessions per shipped config under its attack."""
+
+    @pytest.fixture(scope="class", params=["bright", "fig1"])
+    def sessions(self, request):
+        cfg = load_config(REPO / "configs" / f"{request.param}.json")
+        return cfg, [simulate_session(cfg.protocol, cfg.attack, RngStream(cfg.seed, stream)).public()
+                     for stream in range(5)]
+
+    def test_bounds_do_not_decrease_as_eps_rises(self, sessions):
+        cfg, pubs = sessions
+        for stream, pub in enumerate(pubs):
+            prev = (0.0, 0.0)
+            for eps in (1e-9, 1e-7, 1e-5, 1e-3, 1e-1):
+                r = estimate_session(pub, cfg.protocol, eps, cfg.key_params)
+                got = (r.d0_star, r.d1_star)
+                assert all(g >= p - 1e-9 * max(p, 1.0) for g, p in zip(got, prev)), (stream, eps, got, prev)
+                prev = got
+
+    def test_bounds_invariant_under_source_order(self, sessions):
+        cfg, pubs = sessions
+        for stream, pub in enumerate(pubs):
+            first = None
+            for perm in itertools.permutations(range(len(pub.K_i))):
+                protocol = replace(cfg.protocol, sources=tuple(cfg.protocol.sources[j] for j in perm))
+                permuted = SessionPublic(K=pub.K, K_i=tuple(pub.K_i[j] for j in perm),
+                                         D_iE=tuple(pub.D_iE[j] for j in perm), D_E=pub.D_E, F_E=pub.F_E)
+                r = estimate_session(permuted, protocol, cfg.eps_dsp, cfg.key_params)
+                got = (r.d0_star, r.d1_star)
+                first = first or got
+                assert got == pytest.approx(first, rel=1e-9, abs=1e-9), (stream, perm)
 
 
 class TestIidBaseline:

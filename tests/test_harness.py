@@ -1,5 +1,6 @@
 """Tests for config ingestion, hashing, and table emission."""
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -122,6 +123,46 @@ class TestLoadConfig:
         d = small_config_dict()
         (d[section] if section else d)[key] = value
         field = f"{section}.{key}" if section else key
+        with pytest.raises(ConfigError, match=rf"^{field} must be a nonnegative integer"):
+            config_from_dict(d)
+
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda d: d["protocol"]["sources"][1].update(mu=True), "protocol.sources[1].mu"),
+        (lambda d: d["protocol"]["sources"][1].update(mu="abc"), "protocol.sources[1].mu"),
+        (lambda d: d["protocol"]["sources"][2].update(q=float("inf")), "protocol.sources[2].q"),
+        (lambda d: d["protocol"]["channel"].update(eta="0.1"), "protocol.channel.eta"),
+        (lambda d: d["protocol"].update(tail_budget=float("nan")), "protocol.tail_budget"),
+        (lambda d: d["attack"].update(yields_override={"1": True}), "attack.yields_override.1"),
+        (lambda d: d.update(eps_dsp="0.01"), "eps_dsp"),
+        (lambda d: d["key_params"].update(ber=False), "key_params.ber"),
+        (lambda d: d["key_params"].update(kappa_ec="1.2"), "key_params.kappa_ec"),
+    ], ids=["mu-bool", "mu-string", "q-inf", "eta-string", "tail_budget-nan", "override-bool",
+            "eps_dsp-string", "ber-bool", "kappa_ec-string"])
+    def test_malformed_number_rejected(self, mutate, field):
+        d = small_config_dict()
+        mutate(d)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)} must be a finite number"):
+            config_from_dict(d)
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d.update(protocol=5), "protocol must be an object"),
+        (lambda d: d["protocol"].update(sources=5), "protocol.sources must be a list"),
+        (lambda d: d["protocol"]["sources"].__setitem__(0, 5), "protocol.sources[0] must be an object"),
+        (lambda d: d["protocol"].update(channel=5), "protocol.channel must be an object"),
+        (lambda d: d.update(attack=5), "attack must be an object"),
+        (lambda d: d["attack"].update(yields_override=5), "attack.yields_override must be an object"),
+        (lambda d: d.update(key_params=5), "key_params must be an object"),
+    ], ids=["protocol", "sources", "source", "channel", "attack", "yields_override", "key_params"])
+    def test_malformed_section_rejected(self, mutate, message):
+        d = small_config_dict()
+        mutate(d)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(message)}"):
+            config_from_dict(d)
+
+    @pytest.mark.parametrize("key", ["abc", "-1", "1.5"])
+    def test_malformed_override_key_rejected(self, key):
+        d = small_config_dict(attack={"kind": "iid", "yields_override": {key: 0.5}})
+        field = re.escape(f"attack.yields_override.{key}")
         with pytest.raises(ConfigError, match=rf"^{field} must be a nonnegative integer"):
             config_from_dict(d)
 
