@@ -10,12 +10,14 @@ any attack because the eavesdropper cannot see the source.
 
 The per-class confidence statements come from one Bernstein envelope,
 q d +/- (sqrt(2 q(1-q) d L) + L/3), and become quadratic constraints on
-x_n = sqrt(d_n).  The minimization is convex in d and solved in x by SLSQP;
-a Lagrangian dual bound certifies each result, so the deterministic start
-grid runs past its first start only while the duality gap stays open.  The
-same bound on the phase-I problem (the smallest band violation) certifies
-every protocol abort.  An exhaustive grid oracle on n_max = 2 checks the
-solver independently.
+x_n = sqrt(d_n).  The vacuum source emits only class 0, so its upper band
+alone bounds the vacuum count in closed form.  The single-photon
+minimization is convex in d and solved in x by SLSQP; a Lagrangian dual
+bound certifies each result, so the deterministic start grid runs past its
+first start only while the duality gap stays open.  A start outside the
+bands first goes to the phase-I problem (the smallest band violation),
+whose dual bound certifies every protocol abort.  An exhaustive grid
+oracle on n_max = 2 checks the solver independently.
 """
 from __future__ import annotations
 
@@ -292,7 +294,7 @@ def _config_terms(config: ProtocolConfig, budget: EpsilonBudget) -> tuple:
 
     Returns (Q, A, beta) from _constraint_matrices plus the photon-number
     pmf p[n] and the honest counts' roots sqrt(y_n p_n K) of the start grid;
-    estimate_session builds them once for both targets.
+    estimate_session builds them once, for the d1 solve and the closed-form d0.
     """
     ns = np.arange(config.n_max + 1)
     p = photon_number_pmf(ns, config.sources)
@@ -390,19 +392,24 @@ def minimize_detection_count(public, config: ProtocolConfig, budget: EpsilonBudg
     solved in x, where all bands and the cap form one vector constraint,
     quadratic in x, with an analytic Jacobian.  SLSQP runs from a fixed
     8-point start grid; accepted solutions satisfy the constraints within
-    FEASIBILITY_TOL relative.  After each start the solver's multipliers
-    give a Lagrangian dual bound (_dual_bound); once the best accepted
-    value is within GAP_TOL (relative, one-detection floor) of it, no start
-    can do better and the search stops.  A start that leaves no accepted
-    point is followed by the phase-I problem (Boyd & Vandenberghe, Convex
-    Optimization, sec. 11.4.1): minimize the largest relative violation t
-    of the same constraint.  The same dual bound, with a zero objective
-    and the multipliers normalized to the violation's units, lower-bounds
-    t over the whole box (sec. 5.8); when it exceeds ABORT_TOL no point
-    can be accepted and InfeasibleSessionError is raised (protocol abort).
-    If no start yields an accepted point and none proves the violation,
-    the result is the conservative d_target = 0 with status
-    "max_iterations" and the smallest violation found as its residual.
+    FEASIBILITY_TOL relative.  While no point is accepted, a start outside
+    the bands first goes to the phase-I problem (Boyd & Vandenberghe,
+    Convex Optimization, sec. 11.4.1): minimize the largest relative
+    violation t >= 0 of the same constraint, which stops at the first
+    point inside the bands.  The same dual bound as below, with a zero
+    objective and the multipliers normalized to the violation's units,
+    lower-bounds t over the whole box for any multipliers (sec. 5.8); when
+    it exceeds ABORT_TOL no point can be accepted and
+    InfeasibleSessionError is raised (protocol abort).  Otherwise SLSQP
+    minimizes the objective from the phase-I point.  After each start the
+    solver's multipliers give a Lagrangian dual bound (_dual_bound); once
+    the best accepted value is within GAP_TOL (relative, one-detection
+    floor) of it, no start can do better and the search stops.  If no
+    start yields an accepted point and none proves the violation, the
+    result is the conservative d_target = 0 with status "max_iterations"
+    and the smallest violation found as its residual.  estimate_session
+    runs target 1 only; target 0 serves the grid-oracle checks of its
+    closed-form d0*.
     """
     return _minimize_count(public, config, _config_terms(config, budget), target)
 
@@ -455,11 +462,12 @@ def _minimize_count(public, config: ProtocolConfig, terms: tuple, target: int) -
     cons = {"type": "ineq", "fun": con, "jac": con_jac}
     bounds = [(0.0, Xcap)] * N
 
-    # phase I in Y = (X, t): minimize t subject to con(X) + t w >= 0
+    # phase I in Y = (X, t): minimize t >= 0 subject to con(X) + t w >= 0; it
+    # stops at the first point inside the bands instead of going deeper
     e_t = np.append(np.zeros(N), 1.0)
     cons_t = {"type": "ineq", "fun": lambda Y: con(Y[:N]) + Y[N] * w,
               "jac": lambda Y: np.hstack([con_jac(Y[:N]), w[:, None]])}
-    bounds_t = bounds + [(None, None)]
+    bounds_t = bounds + [(0.0, None)]
 
     best: tuple[float, np.ndarray] | None = None
 
@@ -477,18 +485,15 @@ def _minimize_count(public, config: ProtocolConfig, terms: tuple, target: int) -
     least = math.inf  # the smallest violation found by phase I
     for x0 in _start_points(p, honest, target, D_E, x_cap):
         X0 = x0 / scale
-        consider(X0)  # a feasible start stands on its own if the solve diverges
-        sol = _opt.minimize(obj, X0, jac=obj_jac, bounds=bounds, constraints=cons,
-                            method="SLSQP", options={"maxiter": 300, "ftol": 1e-12})
-        consider(sol.x)
-        lower = max(lower, _dual_bound(sol.multipliers, G, H, g, weights, Xcap))
-        if best is None:
+        # a feasible start stands on its own if the solve diverges; until a
+        # point is accepted, a start outside the bands goes to phase I first
+        if consider(X0) > FEASIBILITY_TOL and best is None:
             Y0 = np.append(X0, max(0.0, float(np.max(-con(X0) / w))))
             sol = _opt.minimize(lambda Y: Y[N], Y0, jac=lambda Y: e_t, bounds=bounds_t,
                                 constraints=cons_t, method="SLSQP",
                                 options={"maxiter": 300, "ftol": 1e-12})
             # with lam @ w = 1 the Lagrangian loses t, and its minimum over the
-            # box bounds the smallest violation from below
+            # box bounds the smallest violation from below, whatever bounds t
             lam = np.clip(sol.multipliers, 0.0, None)
             norm = float(lam @ w)
             proof = _dual_bound(lam / norm, G, H, g, 0.0, Xcap) if norm > 0.0 else -math.inf
@@ -496,7 +501,12 @@ def _minimize_count(public, config: ProtocolConfig, terms: tuple, target: int) -
                 raise InfeasibleSessionError(
                     f"no detection counts satisfy the confidence bands "
                     f"(every point violates them by at least {proof:.3e})")
-            least = min(least, consider(sol.x[:N]))
+            X0 = np.clip(sol.x[:N], 0.0, Xcap)
+            least = min(least, consider(X0))
+        sol = _opt.minimize(obj, X0, jac=obj_jac, bounds=bounds, constraints=cons,
+                            method="SLSQP", options={"maxiter": 300, "ftol": 1e-12})
+        consider(sol.x)
+        lower = max(lower, _dual_bound(sol.multipliers, G, H, g, weights, Xcap))
         if best is not None and best[0] - lower <= GAP_TOL * max(best[0], 1.0 / D_E):
             break
 
@@ -713,31 +723,41 @@ def check_transcript(public, config: ProtocolConfig) -> None:
 
 def estimate_session(public, config: ProtocolConfig, eps_dsp: float,
                      params: KeyRateParams | None = None) -> EstimationResult:
-    """End-to-end estimation: budget, two minimizations, sifted bounds, key rate.
+    """End-to-end estimation: budget, one minimization, sifted bounds, key rate.
 
-    The transcript must pass check_transcript (ValueError otherwise).  The
-    vacuum and single-photon counts are minimized independently; the union
-    bound in the budget already covers both.  A transcript outside the
-    confidence bands yields a zero-key result with status "infeasible"
-    (protocol abort).
+    The transcript must pass check_transcript and the config must have a
+    vacuum source (mu = 0); ValueError otherwise.  d1* is the minimum of
+    minimize_detection_count(target=1), which alone decides the status, the
+    residual and the abort.  d0* needs no solve: a vacuum source's
+    posterior row is zero beyond class 0, so with every other class at 0
+    its upper band q_0 d0 + a_0 sqrt(d0) + beta >= D_i inverts in closed
+    form, and d0* is the largest of these roots over the vacuum sources
+    (as Ma, Qi, Zhao and Lo, PRA 72, 012326, 2005, bound Y_0).  Dropping
+    the other bands can only lower the minimum, so this relaxation of
+    minimize_detection_count(target=0) is a valid lower bound on every
+    transcript.  The union bound in the budget already covers both counts.
+    A transcript outside the confidence bands yields a zero-key result with
+    status "infeasible" (protocol abort).
     """
     check_transcript(public, config)
     if params is None:
         params = KeyRateParams()
+    vacuum = config.mus == 0.0
+    if not vacuum.any():
+        raise ValueError("sources include no vacuum source (mu = 0), which bounds d0")
     budget = build_epsilon_budget(eps_dsp, config.n_max, len(config.sources))
-    status = "optimal"
-    residual = 0.0
     terms = _config_terms(config, budget)
     try:
-        r0 = _minimize_count(public, config, terms, 0)
         r1 = _minimize_count(public, config, terms, 1)
-        d0, d1 = r0.d_star, r1.d_star
-        residual = max(r0.residual, r1.residual)
-        if "max_iterations" in (r0.status, r1.status):
-            status = "max_iterations"
     except InfeasibleSessionError:
-        status = "infeasible"
-        d0 = d1 = 0.0
+        status, residual, d0, d1 = "infeasible", 0.0, 0.0, 0.0
+    else:
+        status, residual, d1 = r1.status, r1.residual, r1.d_star
+        # d0*: the largest root of the vacuum sources' upper bands, others at 0
+        Q, A, beta = terms[:3]
+        D_U = np.asarray(public.D_iE, dtype=float)[vacuum]
+        z = _root(Q[vacuum, 0], A[vacuum, 0], np.maximum(D_U - beta[vacuum], 0.0))
+        d0 = float(np.max(z * z))
     f0 = sifted_lower_bound(d0, public.D_E, public.F_E, budget)
     f1 = sifted_lower_bound(d1, public.D_E, public.F_E, budget)
     s, kl = key_rate(f0, f1, public.F_E, config.K, params)

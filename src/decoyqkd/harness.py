@@ -74,7 +74,7 @@ def _protocol_from_dict(d: dict) -> ProtocolConfig:
     for idx, s in enumerate(raw_sources):
         context = f"protocol.sources[{idx}]"
         _check_keys(s, {"label", "mu", "q"}, context)
-        sources.append(SourceSpec(label=str(_require(s, "label", context)),
+        sources.append(SourceSpec(label=_expect(_require(s, "label", context), str, f"{context}.label"),
                                   mu=_number(_require(s, "mu", context), f"{context}.mu"),
                                   q=_number(_require(s, "q", context), f"{context}.q")))
     ch = _require(d, "channel", "protocol")
@@ -123,7 +123,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
             key_params=KeyRateParams(**{k: _number(v, f"key_params.{k}") for k, v in kp.items()}),
             trials=_count(d.get("trials", 1), "trials"),
             seed=_count(_require(d, "seed", "config"), "seed"),
-            output_path=str(d.get("output_path", "")),
+            output_path=_expect(d.get("output_path", ""), str, "output_path"),
         )
     except ConfigError:
         raise
@@ -194,9 +194,10 @@ def _number(value, field: str) -> float:
 
 
 def _expect(value, kind: type, context: str):
-    """value itself if it is a JSON object (kind dict) or array (kind list); else ConfigError."""
+    """value itself if it is a JSON object (kind dict), array (list) or string (str); else ConfigError."""
     if not isinstance(value, kind):
-        raise ConfigError(f"{context} must be {'an object' if kind is dict else 'a list'}, got {value!r}")
+        noun = {dict: "an object", list: "a list", str: "a string"}[kind]
+        raise ConfigError(f"{context} must be {noun}, got {value!r}")
     return value
 
 

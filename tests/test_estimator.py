@@ -460,6 +460,16 @@ class TestEstimateSession:
         with pytest.raises(ValueError, match=f"^{field}"):
             estimate_session(edit(pub), cfg.protocol, cfg.eps_dsp, cfg.key_params)
 
+    def test_requires_a_vacuum_source(self):
+        # d0* comes from the vacuum source's band, as config files already require
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cfg = ProtocolConfig(sources=(SourceSpec("V", 0.1, 0.4), SourceSpec("W", 0.5, 0.6)),
+                                 channel=BRIGHT_CH, K=10**6)
+        pub = simulate_session(cfg, AttackSpec("none"), RngStream(4)).public()
+        with pytest.raises(ValueError, match="^sources"):
+            estimate_session(pub, cfg, 0.01)
+
     def test_result_serializes(self):
         import json
 
@@ -519,6 +529,15 @@ def _golden_public(cfg, kind: str, stream: int) -> SessionPublic:
     add = int(10.0 * max(pub.D_E - pub.D_iE[0], 100))
     return SessionPublic(K=pub.K, K_i=pub.K_i, D_iE=(pub.D_iE[0] + add,) + pub.D_iE[1:],
                          D_E=pub.D_E + add, F_E=pub.F_E)
+
+
+def _assert_d0_matches_the_solver(pub, protocol, eps_dsp, key_params):
+    """estimate_session's closed-form d0* is a relaxation of the target-0 minimum and attains it."""
+    d0 = estimate_session(pub, protocol, eps_dsp, key_params).d0_star
+    budget = build_epsilon_budget(eps_dsp, protocol.n_max, len(protocol.sources))
+    solved = minimize_detection_count(pub, protocol, budget, 0).d_star
+    assert d0 <= solved * (1.0 + 1e-9), (d0, solved)
+    assert d0 == pytest.approx(solved, rel=1e-9, abs=1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -584,6 +603,30 @@ class TestCertifiedValues:
                 checked += 1
         assert checked == 4
 
+    def test_one_objective_solve_per_session(self, golden_sessions, monkeypatch):
+        # d0* needs no solve: an accepted session makes one objective solve
+        # (a start of length N), after at most one phase-I solve (length
+        # N + 1); an abort makes the phase-I solve alone
+        starts = []
+        minimize = optimize.minimize
+
+        def counted(fun, x0, *args, **kwargs):
+            starts.append(len(x0))
+            return minimize(fun, x0, *args, **kwargs)
+
+        monkeypatch.setattr(optimize, "minimize", counted)
+        for row, cfg, pub in golden_sessions:
+            starts.clear()
+            estimate_session(pub, cfg.protocol, cfg.eps_dsp, cfg.key_params)
+            N = cfg.protocol.n_max + 1
+            expected = ([N + 1],) if row[8] == "infeasible" else ([N], [N + 1, N])
+            assert starts in expected, (row[:3], starts)
+
+    def test_closed_form_d0_matches_the_solver(self, golden_sessions):
+        for row, cfg, pub in golden_sessions:
+            if row[8] == "optimal":
+                _assert_d0_matches_the_solver(pub, cfg.protocol, cfg.eps_dsp, cfg.key_params)
+
     def test_dual_bound_closes_the_gap(self, golden_sessions):
         # the first start's multipliers certify its optimum, so the search
         # stops early; if this fails, every start runs again.  The accepted
@@ -619,6 +662,11 @@ class TestMetamorphic:
                 got = (r.d0_star, r.d1_star)
                 assert all(g >= p - 1e-9 * max(p, 1.0) for g, p in zip(got, prev)), (stream, eps, got, prev)
                 prev = got
+
+    def test_closed_form_d0_matches_the_solver(self, sessions):
+        cfg, pubs = sessions
+        for pub in pubs:
+            _assert_d0_matches_the_solver(pub, cfg.protocol, cfg.eps_dsp, cfg.key_params)
 
     def test_bounds_invariant_under_source_order(self, sessions):
         cfg, pubs = sessions

@@ -152,7 +152,10 @@ class TestLoadConfig:
         (lambda d: d.update(attack=5), "attack must be an object"),
         (lambda d: d["attack"].update(yields_override=5), "attack.yields_override must be an object"),
         (lambda d: d.update(key_params=5), "key_params must be an object"),
-    ], ids=["protocol", "sources", "source", "channel", "attack", "yields_override", "key_params"])
+        (lambda d: d["protocol"]["sources"][1].update(label=5), "protocol.sources[1].label must be a string"),
+        (lambda d: d.update(output_path=5), "output_path must be a string"),
+    ], ids=["protocol", "sources", "source", "channel", "attack", "yields_override", "key_params",
+            "label", "output_path"])
     def test_malformed_section_rejected(self, mutate, message):
         d = small_config_dict()
         mutate(d)
